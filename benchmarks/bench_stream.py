@@ -10,11 +10,9 @@ stack — camera counts → :class:`~repro.estimators.sentinel.BoundSentinel`
   near-whiteout severity; the sentinel must trip and issue an
   Algorithm 3 repair.
 
-Alongside the end-to-end replays, the raw engines are timed standalone:
-:class:`~repro.stats.prefix_moments.RollingPrefixMoments` appends (the
-O(1)-amortized growing prefix) and
-:class:`~repro.stats.prefix_moments.SlidingWindowMoments` appends (the
-deque-backed window with exact extrema).
+Alongside the end-to-end replays, the raw window engine is timed
+standalone: :class:`~repro.stats.prefix_moments.SlidingWindowMoments`
+appends (the deque-backed window with exact extrema).
 
 Results land machine-readably in ``BENCH_stream.json`` at the repo root,
 and the run's ledger record (``stream_runs.jsonl``, annotated with
@@ -32,10 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.stats.prefix_moments import (
-    RollingPrefixMoments,
-    SlidingWindowMoments,
-)
+from repro.stats.prefix_moments import SlidingWindowMoments
 from repro.system import telemetry
 from repro.system.observe import ledger as run_ledger
 from repro.system.stream import StreamConfig, replay_stream
@@ -49,20 +44,8 @@ FRAMES = 2000
 #: Sliding-window capacity (and per-check batch size) of the replays.
 WINDOW = 480
 
-#: Values pushed through each raw engine's append loop.
+#: Values pushed through the raw engine's append loop.
 RAW_APPENDS = 100_000
-
-
-def _raw_rolling_fps() -> float:
-    """Appends/sec of the growing-prefix engine (single feed row)."""
-    values = np.random.default_rng(0).gamma(2.0, 3.0, size=RAW_APPENDS)
-    rolling = RollingPrefixMoments(trials=1)
-    started = time.perf_counter()
-    for value in values:
-        rolling.append(value)
-    elapsed = time.perf_counter() - started
-    assert rolling.size == RAW_APPENDS
-    return RAW_APPENDS / elapsed
 
 
 def _raw_window_fps() -> float:
@@ -103,7 +86,6 @@ def test_stream_replay_throughput_and_repair(benchmark):
                 severity=0.95,
             )
         )
-        outcome["rolling_fps"] = _raw_rolling_fps()
         outcome["window_fps"] = _raw_window_fps()
 
     status = "error"
@@ -122,13 +104,12 @@ def test_stream_replay_throughput_and_repair(benchmark):
                 "clean = in-regime replay (sentinel must stay quiet); "
                 "hostile = weather@0.95 takes over at half-feed "
                 "(sentinel must trip and auto-repair); raw = tight "
-                "append loops on the standalone engines"
+                "append loop on the standalone window engine"
             ),
             "clean": clean.as_payload(),
             "hostile": hostile.as_payload(),
             "raw_engines": {
                 "appends": RAW_APPENDS,
-                "rolling_appends_per_sec": round(outcome["rolling_fps"], 1),
                 "window_appends_per_sec": round(outcome["window_fps"], 1),
             },
         }

@@ -17,8 +17,6 @@ Run with: ``python examples/profile_transfer.py``
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import (
     Aggregate,
     PublicPreferences,
@@ -41,8 +39,8 @@ def main() -> None:
     query_b = system_b.query(Aggregate.MAX)
 
     fractions = (0.02, 0.05, 0.1, 0.2, 0.4, 0.7)
-    profile_b = system_b.profiler.profile_sampling(
-        query_b, fractions, np.random.default_rng(1)
+    profile_b = system_b.profiler.profile_sampling_seeded(
+        query_b, fractions, root=1
     )
     print("video B's MAX profile (fraction -> bounded rank error):")
     for knob, bound in zip(profile_b.knob_values(), profile_b.error_bounds()):
@@ -70,8 +68,8 @@ def main() -> None:
     )
 
     # How close were the two videos' profiles really? (§5.3.2's check.)
-    profile_a = system_a.profiler.profile_sampling(
-        query_a, fractions, np.random.default_rng(2)
+    profile_a = system_a.profiler.profile_sampling_seeded(
+        query_a, fractions, root=2
     )
     difference = profile_difference(profile_a, profile_b)
     print(

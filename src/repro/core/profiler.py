@@ -15,32 +15,22 @@ settings whose full-corpus outputs were served by the persistent detector
 cache (:mod:`repro.detection.diskcache`) are already paid for and are not
 recorded.
 
-Two execution styles coexist:
+Every entry point is seeded: trial ``t`` of setting ``u`` draws from
+:func:`repro.system.executor.child_rng` ``(root, u, t)``, so results are
+independent of evaluation order — and therefore of the worker count when
+a :class:`~repro.system.executor.ParallelExecutor` fans settings out over
+processes.
 
-- the original ``rng``-threaded methods (``profile_sampling`` etc.), whose
-  results depend on generator state and call order; and
-- ``*_seeded`` variants that derive every ``(setting, trial)`` stream from
-  a root seed via :func:`repro.system.executor.child_rng`, making results
-  independent of evaluation order — and therefore of the worker count when
-  a :class:`~repro.system.executor.ParallelExecutor` fans settings out
-  over processes.
-
-Internally a sweep computes every fraction grid point from ONE gather of
-the trial's maximal prefix sample: because prefix samples are nested,
-``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``, so one
-pass of prefix aggregates serves the whole ascending fraction grid.
-
-On top of that reuse, the default ``vectorized=True`` execution stacks the
-per-trial prefix gathers into one ``(trials, max_size)``
-:class:`~repro.stats.prefix_moments.PrefixMoments` matrix and prices every
-fraction with the batch estimator kernels
-(:func:`repro.estimators.dispatch.estimate_batch`'s machinery), collapsing
-the per-setting cost from O(trials × fractions × n) of Python-level
-estimator calls to O(trials × n) of numpy cumulative sums. The
-``vectorized=False`` path keeps the original per-(fraction, trial) loops;
-both paths draw identical samples, record identical ledger totals, make
-identical early-stopping decisions, and agree on values/bounds within the
-repo's 1e-9 numerical-equivalence policy (differential tests pin this).
+A sweep computes every fraction grid point from ONE gather of each trial's
+maximal prefix sample: because prefix samples are nested,
+``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``. The
+per-trial gathers stack into one ``(trials, max_size)``
+:class:`~repro.stats.prefix_moments.PrefixMoments` matrix, and every
+fraction is priced by the estimators' batch kernels — O(trials × n) of
+numpy cumulative sums instead of O(trials × fractions × n) of Python-level
+estimator calls. The scalar estimators remain the reference: the tests
+re-derive cells trial by trial and pin the kernels to them within the
+repo's 1e-9 numerical-equivalence policy.
 
 Bound selection per setting:
 
@@ -138,7 +128,6 @@ class DegradationProfiler:
         processor: QueryProcessor,
         trials: int = 1,
         ledger: InvocationLedger | None = None,
-        vectorized: bool = True,
     ) -> None:
         """Create a profiler.
 
@@ -148,17 +137,12 @@ class DegradationProfiler:
                 1 matches production use, larger values smooth the curves
                 as the paper's experiments do (100 trials).
             ledger: Optional invocation ledger for cost accounting.
-            vectorized: Price all trials of a fraction with the batch
-                estimator kernels (the default); False keeps the original
-                per-(fraction, trial) loops, primarily for differential
-                testing of the kernels.
         """
         if trials <= 0:
             raise ConfigurationError(f"trials must be positive, got {trials}")
         self._processor = processor
         self._trials = trials
         self._ledger = ledger
-        self._vectorized = bool(vectorized)
         self._mean_estimator = SmokescreenMeanEstimator()
         self._quantile_estimator = SmokescreenQuantileEstimator()
         self._variance_estimator = SmokescreenVarianceEstimator()
@@ -207,19 +191,6 @@ class DegradationProfiler:
             return False
         return plan.is_random_for(query.dataset)
 
-    def _estimate_sample(
-        self,
-        query: AggregateQuery,
-        sample: DegradedSample,
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-    ) -> Estimate:
-        """Bound for one drawn sample, applying the correction-set policy."""
-        values = self._processor.values_for_sample(query, sample)
-        return self._estimate_values(
-            query, values, sample.universe_size, plan_is_random, correction
-        )
-
     def _estimate_values(
         self,
         query: AggregateQuery,
@@ -228,11 +199,7 @@ class DegradationProfiler:
         plan_is_random: bool,
         correction: CorrectionSet | None,
     ) -> Estimate:
-        """Bound for already-gathered sample values.
-
-        Split out of :meth:`_estimate_sample` so fraction sweeps can slice
-        one gathered prefix array instead of re-gathering per fraction.
-        """
+        """Bound for one trial's gathered sample values (scalar path)."""
         population = query.dataset.frame_count
         if query.aggregate.is_mean_family or query.aggregate.is_variance:
             if query.aggregate.is_variance:
@@ -305,8 +272,7 @@ class DegradationProfiler:
         Prices the length-``size`` prefix of every trial row at once with
         the estimators' batch kernels, applying the same correction-set
         policy. The correction estimate is computed once per call instead
-        of once per trial — it only depends on the correction set, so the
-        per-trial recomputation of the loop path is pure redundancy.
+        of once per trial: it only depends on the correction set.
 
         Quantile aggregates keep the scalar path per trial (their
         distinct-value-table estimate has no cumulative form); the batch
@@ -409,58 +375,6 @@ class DegradationProfiler:
             correction_estimate,
         )
 
-    def estimate_plan(
-        self,
-        query: AggregateQuery,
-        plan: InterventionPlan,
-        rng: np.random.Generator,
-        correction: CorrectionSet | None = None,
-    ) -> PointEstimate:
-        """Price a single degradation setting (averaged over trials).
-
-        Args:
-            query: The query to profile.
-            plan: The degradation setting.
-            rng: Randomness for the trial samples.
-            correction: Optional correction set for repair.
-
-        Returns:
-            The averaged value/bound at the setting. The reported ``n`` is
-            the maximum sample size over trials (trustworthy even if a
-            plan yields trial-varying eligible sets).
-        """
-        plan_is_random = self._plan_is_random(query, plan)
-        if self._vectorized:
-            samples = []
-            for _ in range(self._trials):
-                sample = plan.draw(query.dataset, rng, self._processor.suite)
-                self._record_sampled(
-                    query, sample.resolution, sample.quality, sample.size
-                )
-                samples.append(sample)
-            return self._point_from_samples(
-                query, samples, plan_is_random, correction
-            )
-        values_sum = 0.0
-        bounds_sum = 0.0
-        n = 0
-        for _ in range(self._trials):
-            sample = plan.draw(query.dataset, rng, self._processor.suite)
-            self._record_sampled(
-                query, sample.resolution, sample.quality, sample.size
-            )
-            estimate = self._estimate_sample(
-                query, sample, plan_is_random, correction
-            )
-            values_sum += estimate.value
-            bounds_sum += estimate.error_bound
-            n = max(n, estimate.n)
-        return PointEstimate(
-            value=values_sum / self._trials,
-            error_bound=bounds_sum / self._trials,
-            n=n,
-        )
-
     def _point_from_samples(
         self,
         query: AggregateQuery,
@@ -540,43 +454,19 @@ class DegradationProfiler:
             the maximum sample size over trials.
         """
         plan_is_random = self._plan_is_random(query, plan)
-        if self._vectorized:
-            with telemetry.span(
-                "profiler.plan", unit=unit_index, trials=self._trials
-            ):
-                samples = []
-                for t in range(self._trials):
-                    rng = child_rng(root, unit_index, t)
-                    sample = plan.draw(query.dataset, rng, self._processor.suite)
-                    self._record_sampled(
-                        query, sample.resolution, sample.quality, sample.size
-                    )
-                    samples.append(sample)
-                telemetry.count("profiler.trials_priced", self._trials)
-                return self._point_from_samples(
-                    query, samples, plan_is_random, correction
+        with telemetry.span("profiler.plan", unit=unit_index, trials=self._trials):
+            samples = []
+            for t in range(self._trials):
+                rng = child_rng(root, unit_index, t)
+                sample = plan.draw(query.dataset, rng, self._processor.suite)
+                self._record_sampled(
+                    query, sample.resolution, sample.quality, sample.size
                 )
-        values = np.empty(self._trials)
-        bounds = np.empty(self._trials)
-        n = 0
-        for t in range(self._trials):
-            rng = child_rng(root, unit_index, t)
-            sample = plan.draw(query.dataset, rng, self._processor.suite)
-            self._record_sampled(
-                query, sample.resolution, sample.quality, sample.size
+                samples.append(sample)
+            telemetry.count("profiler.trials_priced", self._trials)
+            return self._point_from_samples(
+                query, samples, plan_is_random, correction
             )
-            estimate = self._estimate_sample(
-                query, sample, plan_is_random, correction
-            )
-            values[t] = estimate.value
-            bounds[t] = estimate.error_bound
-            n = max(n, estimate.n)
-        telemetry.count("profiler.trials_priced", self._trials)
-        return PointEstimate(
-            value=float(values.mean()),
-            error_bound=float(bounds.mean()),
-            n=n,
-        )
 
     def _sweep_core(
         self,
@@ -646,7 +536,6 @@ class DegradationProfiler:
                 [sampler.prefix(max_size) for sampler in samplers]
             )
             value_matrix = full_values[eligible[prefix_matrix]]
-        trial_values = list(value_matrix)
         # The fraction knob never changes the randomness classification
         # (frame sampling is always the random intervention), so classify
         # the setting once.
@@ -655,55 +544,36 @@ class DegradationProfiler:
             InterventionPlan.from_knobs(f=fractions[0], p=resolution, c=removal),
         )
 
+        # One PrefixMoments pass over the stacked trial matrix serves every
+        # fraction as O(trials) slices. All trials share the size
+        # trajectory, so the ledger is charged ``new_frames × trials`` per
+        # fraction, and early stopping walks the ascending fractions with
+        # the all-trials mean-bound rule.
         trials = len(samplers)
-        with telemetry.span(
-            "profiler.price",
-            trials=trials,
-            fractions=len(fractions),
-            vectorized=self._vectorized,
-        ):
-            if self._vectorized:
-                return self._sweep_grid_vectorized(
-                    query,
-                    fractions,
-                    sizes,
-                    effective_resolution,
-                    quality,
-                    value_matrix,
-                    int(eligible.size),
-                    plan_is_random,
-                    correction,
-                    early_stop_tolerance,
-                )
-            processed = [0] * trials
+        with telemetry.span("profiler.price", trials=trials, fractions=len(fractions)):
+            moments = PrefixMoments(value_matrix)
+            processed = 0
             results: list[SweptFraction] = []
             previous_bound: float | None = None
             for fraction, size in zip(fractions, sizes):
-                values = np.empty(trials)
-                bounds = np.empty(trials)
-                for t in range(trials):
-                    self._record_sampled(
-                        query,
-                        effective_resolution,
-                        quality,
-                        max(0, size - processed[t]),
-                    )
-                    processed[t] = max(processed[t], size)
-                    estimate = self._estimate_values(
-                        query,
-                        trial_values[t][:size],
-                        int(eligible.size),
-                        plan_is_random,
-                        correction,
-                    )
-                    values[t] = estimate.value
-                    bounds[t] = estimate.error_bound
+                new_frames = max(0, size - processed)
+                self._record_sampled(
+                    query, effective_resolution, quality, new_frames * trials
+                )
+                processed = max(processed, size)
+                values, bounds = self._estimate_prefix_batch(
+                    query, moments, size, int(eligible.size), plan_is_random,
+                    correction,
+                )
                 swept = SweptFraction(
-                    fraction=fraction, values=values, bounds=bounds, size=size
+                    fraction=fraction,
+                    values=np.asarray(values, dtype=float),
+                    bounds=np.asarray(bounds, dtype=float),
+                    size=size,
                 )
                 results.append(swept)
                 telemetry.count("profiler.trials_priced", trials)
-                mean_bound = float(bounds.mean())
+                mean_bound = float(swept.bounds.mean())
                 if (
                     early_stop_tolerance is not None
                     and previous_bound is not None
@@ -713,60 +583,6 @@ class DegradationProfiler:
                     break
                 previous_bound = mean_bound
             return results
-
-    def _sweep_grid_vectorized(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        sizes: list[int],
-        resolution: Resolution,
-        quality: float,
-        value_matrix: np.ndarray,
-        universe_size: int,
-        plan_is_random: bool,
-        correction: CorrectionSet | None,
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """The fraction grid on the prefix-moment kernel.
-
-        One :class:`~repro.stats.prefix_moments.PrefixMoments` pass over
-        the stacked trial matrix serves every fraction as O(trials)
-        slices. Ledger updates are batched per fraction — all trials share
-        the size trajectory, so ``new_frames × trials`` in one record call
-        yields exactly the loop path's totals — and early stopping walks
-        the ascending fractions in the same order with the same mean-bound
-        rule, so the evaluated set matches the loop path's.
-        """
-        moments = PrefixMoments(value_matrix)
-        trials = int(value_matrix.shape[0])
-        processed = 0
-        results: list[SweptFraction] = []
-        previous_bound: float | None = None
-        for fraction, size in zip(fractions, sizes):
-            new_frames = max(0, size - processed)
-            self._record_sampled(query, resolution, quality, new_frames * trials)
-            processed = max(processed, size)
-            values, bounds = self._estimate_prefix_batch(
-                query, moments, size, universe_size, plan_is_random, correction
-            )
-            swept = SweptFraction(
-                fraction=fraction,
-                values=np.asarray(values, dtype=float),
-                bounds=np.asarray(bounds, dtype=float),
-                size=size,
-            )
-            results.append(swept)
-            telemetry.count("profiler.trials_priced", trials)
-            mean_bound = float(swept.bounds.mean())
-            if (
-                early_stop_tolerance is not None
-                and previous_bound is not None
-                and abs(previous_bound - mean_bound) < early_stop_tolerance
-            ):
-                telemetry.count("profiler.early_stop")
-                break
-            previous_bound = mean_bound
-        return results
 
     @staticmethod
     def _sweep_max_size(universe: int, fractions: tuple[float, ...]) -> int | None:
@@ -784,30 +600,6 @@ class DegradationProfiler:
         if not 0.0 < top <= 1.0:
             return None
         return SampleDesign(universe, top).size
-
-    def _sweep_fractions(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        rng: np.random.Generator,
-        early_stop_tolerance: float | None,
-    ) -> list[tuple[float, PointEstimate]]:
-        """The sweep over sequential-``rng`` trial samplers (legacy path)."""
-        base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
-        eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        max_size = self._sweep_max_size(int(eligible.size), fractions)
-        samplers = [
-            ProgressiveSampler(eligible.size, rng, max_size=max_size)
-            for _ in range(self._trials)
-        ]
-        swept = self._sweep_core(
-            query, fractions, resolution, removal, correction, samplers,
-            early_stop_tolerance,
-        )
-        return [(item.fraction, item.point()) for item in swept]
 
     def sweep_fractions_seeded(
         self,
@@ -856,178 +648,6 @@ class DegradationProfiler:
         return self._sweep_core(
             query, fractions, resolution, removal, correction, samplers,
             early_stop_tolerance,
-        )
-
-    def profile_sampling(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        rng: np.random.Generator,
-        resolution: Resolution | None = None,
-        removal: tuple[ObjectClass, ...] = (),
-        correction: CorrectionSet | None = None,
-        early_stop_tolerance: float | None = None,
-    ) -> Profile:
-        """Profile the reduced-frame-sampling axis.
-
-        Args:
-            query: The query.
-            fractions: Ascending fraction candidates.
-            rng: Trial randomness.
-            resolution: Fixed resolution knob (None = native).
-            removal: Fixed restricted classes (empty = none).
-            correction: Optional correction set.
-            early_stop_tolerance: Stop the ascending sweep when the bound
-                improves by less than this (§3.3.2); None disables.
-
-        Returns:
-            The sampling-axis profile.
-        """
-        swept = self._sweep_fractions(
-            query, tuple(fractions), resolution, removal, correction, rng,
-            early_stop_tolerance,
-        )
-        points = [
-            ProfilePoint(
-                plan=InterventionPlan.from_knobs(f=fraction, p=resolution, c=removal),
-                error_bound=point.error_bound,
-                value=point.value,
-                n=point.n,
-            )
-            for fraction, point in swept
-        ]
-        return Profile(axis="sampling", points=tuple(points), query_label=query.label())
-
-    def profile_resolution(
-        self,
-        query: AggregateQuery,
-        resolutions: tuple[Resolution, ...],
-        rng: np.random.Generator,
-        fraction: float = 0.5,
-        removal: tuple[ObjectClass, ...] = (),
-        correction: CorrectionSet | None = None,
-    ) -> Profile:
-        """Profile the reduced-resolution axis at a fixed fraction.
-
-        Args:
-            query: The query.
-            resolutions: Resolution candidates (ascending side order).
-            rng: Trial randomness.
-            fraction: Fixed sampling fraction (paper experiments use 0.5).
-            removal: Fixed restricted classes.
-            correction: Optional correction set.
-
-        Returns:
-            The resolution-axis profile.
-        """
-        points = []
-        for resolution in resolutions:
-            plan = InterventionPlan.from_knobs(f=fraction, p=resolution, c=removal)
-            point = self.estimate_plan(query, plan, rng, correction)
-            points.append(
-                ProfilePoint(
-                    plan=plan,
-                    error_bound=point.error_bound,
-                    value=point.value,
-                    n=point.n,
-                )
-            )
-        return Profile(
-            axis="resolution", points=tuple(points), query_label=query.label()
-        )
-
-    def profile_removal(
-        self,
-        query: AggregateQuery,
-        removals: tuple[tuple[ObjectClass, ...], ...],
-        rng: np.random.Generator,
-        fraction: float = 0.5,
-        resolution: Resolution | None = None,
-        correction: CorrectionSet | None = None,
-    ) -> Profile:
-        """Profile the image-removal axis at fixed fraction/resolution.
-
-        Args:
-            query: The query.
-            removals: Restricted-class combinations; ``()`` = no removal.
-            rng: Trial randomness.
-            fraction: Fixed sampling fraction.
-            resolution: Fixed resolution knob (None = native).
-            correction: Optional correction set.
-
-        Returns:
-            The removal-axis profile.
-        """
-        points = []
-        for combo in removals:
-            plan = InterventionPlan.from_knobs(f=fraction, p=resolution, c=combo)
-            point = self.estimate_plan(query, plan, rng, correction)
-            points.append(
-                ProfilePoint(
-                    plan=plan,
-                    error_bound=point.error_bound,
-                    value=point.value,
-                    n=point.n,
-                )
-            )
-        return Profile(axis="removal", points=tuple(points), query_label=query.label())
-
-    def generate_hypercube(
-        self,
-        query: AggregateQuery,
-        candidates: CandidateGrid,
-        rng: np.random.Generator,
-        correction: CorrectionSet | None = None,
-        early_stop_tolerance: float | None = None,
-    ) -> DegradationHypercube:
-        """Price the full candidate grid (§3.1's degradation hypercube).
-
-        For each (resolution, removal) pair the fraction axis is swept in
-        ascending order with nested-sample reuse; cells skipped by early
-        stopping are NaN.
-
-        Args:
-            query: The query.
-            candidates: The candidate grid.
-            rng: Trial randomness.
-            correction: Optional correction set.
-            early_stop_tolerance: Early-stop threshold for the fraction
-                sweeps; None disables.
-
-        Returns:
-            The degradation hypercube.
-        """
-        shape = (
-            len(candidates.fractions),
-            len(candidates.resolutions),
-            len(candidates.removals),
-        )
-        bounds = np.full(shape, math.nan)
-        values = np.full(shape, math.nan)
-        fraction_index = {f: i for i, f in enumerate(candidates.fractions)}
-
-        for ci, combo in enumerate(candidates.removals):
-            for ri, resolution in enumerate(candidates.resolutions):
-                swept = self._sweep_fractions(
-                    query,
-                    candidates.fractions,
-                    resolution,
-                    combo,
-                    correction,
-                    rng,
-                    early_stop_tolerance,
-                )
-                for fraction, point in swept:
-                    fi = fraction_index[fraction]
-                    bounds[fi, ri, ci] = point.error_bound
-                    values[fi, ri, ci] = point.value
-        return DegradationHypercube(
-            fractions=candidates.fractions,
-            resolutions=candidates.resolutions,
-            removals=candidates.removals,
-            bounds=bounds,
-            values=values,
-            query_label=query.label(),
         )
 
     # ------------------------------------------------------------------
@@ -1090,7 +710,6 @@ class DegradationProfiler:
                 trial_indices=tuple(chunk),
                 early_stop_tolerance=None,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for chunk in chunks
         ]
@@ -1155,7 +774,6 @@ class DegradationProfiler:
                 root=root_t,
                 unit_index=i,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for i, plan in enumerate(plans)
         ]
@@ -1280,7 +898,6 @@ class DegradationProfiler:
                 unit_index=ci * resolution_count + ri,
                 early_stop_tolerance=early_stop_tolerance,
                 suite=self._processor.suite,
-                vectorized=self._vectorized,
             )
             for ci, combo in enumerate(candidates.removals)
             for ri, resolution in enumerate(candidates.resolutions)

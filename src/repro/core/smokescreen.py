@@ -44,7 +44,6 @@ class Smokescreen:
         trials: int = 1,
         seed: int = 0,
         workers: int | str = 1,
-        vectorized: bool = True,
     ) -> None:
         """Deploy Smokescreen on a corpus with a query UDF.
 
@@ -59,10 +58,6 @@ class Smokescreen:
             workers: Worker processes for profile generation; the profile
                 is bit-identical for any value. ``"auto"`` defers to the
                 host CPU count and workload size.
-            vectorized: Price all trials of a sweep through the batch
-                estimator kernels (the default). False keeps the
-                per-trial loops; both paths draw the same samples and
-                agree within 1e-9.
         """
         self._dataset = dataset
         self._model = model
@@ -71,8 +66,7 @@ class Smokescreen:
         self._processor = QueryProcessor(self._suite)
         self._ledger = InvocationLedger()
         self._profiler = DegradationProfiler(
-            self._processor, trials=trials, ledger=self._ledger,
-            vectorized=vectorized,
+            self._processor, trials=trials, ledger=self._ledger
         )
         self._seed = seed
         self._rng = np.random.default_rng(seed)

@@ -147,11 +147,8 @@ class QueryWorkload:
                     error_bound=correction.error_bound,
                     trace=correction.trace,
                 )
-            profiles[query.label()] = self._profiler.profile_sampling(
-                query,
-                fractions,
-                np.random.default_rng(int(seed)),
-                correction=query_correction,
+            profiles[query.label()] = self._profiler.profile_sampling_seeded(
+                query, fractions, int(seed), correction=query_correction
             )
         return profiles
 

@@ -116,7 +116,6 @@ def run_fig6(
     frame_count: int | None = None,
     seed: int = 0,
     workers: int | str = 1,
-    vectorized: bool = True,
 ) -> ExperimentResult:
     """Regenerate one Figure 6 row.
 
@@ -133,8 +132,6 @@ def run_fig6(
         seed: Trial randomness seed.
         workers: Worker processes for the trial loops (``"auto"`` defers
             to the host and workload size).
-        vectorized: Price trials with the batch estimator kernels (the
-            default); False keeps the per-trial loops.
 
     Returns:
         Series: bound without correction, bound with correction, true error.
@@ -164,11 +161,10 @@ def run_fig6(
     for knob in knobs:
         plan = _plan_for(axis, knob, fixed_fraction)
         # setting_index 0 for every knob: trial t draws the same stream at
-        # each knob, keeping the row's knobs comparable (the legacy loop
-        # re-created the same generator per knob for the same reason).
+        # each knob, keeping the row's knobs comparable.
         summary = run_repair_trials_seeded(
             processor, query, plan, correction.values, trials, seed + 1,
-            setting_index=0, executor=executor, vectorized=vectorized,
+            setting_index=0, executor=executor,
         )
         series["bound_no_correction"].append(summary.uncorrected_bound)
         series["bound_with_correction"].append(summary.corrected_bound)

@@ -108,8 +108,10 @@ def run_fig9(
                 )
             own_sum += capped(own.error_bound)
             for index, plan in enumerate(INTERVENTION_SETS):
-                point = profiler.estimate_plan(
-                    query, plan, np.random.default_rng(seed + 1), correction
+                # unit_index = the set's index: each intervention set keeps
+                # its trial samples across correction sizes and samplers.
+                point = profiler.estimate_plan_seeded(
+                    query, plan, seed + 1, index, correction
                 )
                 corrected_sums[index] += capped(point.error_bound)
         series["own_bound"].append(own_sum / sampler_count)

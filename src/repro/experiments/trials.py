@@ -1,18 +1,19 @@
 """Shared trial machinery for the figure experiments.
 
 Every §5 experiment repeats its workload over independent sampling trials
-(100 in the paper) and averages. The helper here draws one degraded sample
-per trial and feeds the *same* sample to every method, which is both faster
+(100 in the paper) and averages. The helpers here draw one degraded sample
+per trial and feed the *same* sample to every method, which is both faster
 (model outputs are cached) and a fairer comparison (methods differ only in
 their estimation, not their luck).
 
-The ``*_seeded`` variants give every trial its own
-:func:`~repro.system.executor.child_rng` stream keyed on
-``(setting_index, trial)``, which makes the summaries a pure function of
-the root seed — independent of trial order and therefore safe to fan out
-over a :class:`~repro.system.executor.ParallelExecutor` in contiguous
-trial chunks (workers return per-trial arrays; the reduction always runs
-over the full concatenated array, so chunk boundaries are invisible).
+Every trial has its own :func:`~repro.system.executor.child_rng` stream
+keyed on ``(setting_index, trial)``, which makes the summaries a pure
+function of the root seed — independent of trial order and therefore safe
+to fan out over a :class:`~repro.system.executor.ParallelExecutor` in
+contiguous trial chunks (workers return per-trial arrays; the reduction
+always runs over the full concatenated array, so chunk boundaries are
+invisible). Trials that stack into one prefix matrix are priced together
+by the batch kernels.
 """
 
 from __future__ import annotations
@@ -52,80 +53,49 @@ class TrialSummary:
     violation_rate: float
 
 
-def run_method_trials(
-    processor: QueryProcessor,
-    query: AggregateQuery,
-    plan: InterventionPlan,
-    methods: tuple[str, ...],
-    trials: int,
-    rng: np.random.Generator,
-) -> dict[str, TrialSummary]:
-    """Run one degradation setting for several methods over shared trials.
-
-    Args:
-        processor: The query processor.
-        query: The query.
-        plan: The degradation setting.
-        methods: Estimator names to score (all must fit the aggregate).
-        trials: Number of independent sampling trials.
-        rng: Trial randomness.
-
-    Returns:
-        Per-method trial summaries.
-    """
-    per_method = _method_trial_arrays(
-        processor, query, plan, methods, [rng] * trials
-    )
-    return _summarize_method_trials(methods, per_method)
-
-
 def _method_trial_arrays(
     processor: QueryProcessor,
     query: AggregateQuery,
     plan: InterventionPlan,
     methods: tuple[str, ...],
     rngs: list[np.random.Generator],
-    vectorized: bool = False,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-trial (bounds, errors) arrays per method, one trial per rng.
 
-    With ``vectorized`` the trial executions stack into one prefix-moment
-    matrix and each method is priced once across all trials by
-    :func:`repro.estimators.dispatch.estimate_batch` (estimation consumes
-    no randomness, so executing every trial up front draws the same
-    samples as the interleaved loop). Trials whose executions differ in
-    shape — a plan with trial-varying eligible sets — fall back to the
-    loop.
+    The trial executions stack into one prefix-moment matrix and each
+    method is priced once across all trials by
+    :func:`repro.estimators.dispatch.estimate_batch`. Trials whose
+    executions differ in shape — a plan with trial-varying eligible sets —
+    or are empty take the per-trial scalar path.
     """
     executions = [processor.execute(query, plan, rng) for rng in rngs]
-    if vectorized and executions:
-        sizes = {execution.values.size for execution in executions}
-        universes = {execution.universe_size for execution in executions}
-        populations = {execution.population_size for execution in executions}
-        if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
-            moments = PrefixMoments(
-                np.stack([execution.values for execution in executions])
+    sizes = {execution.values.size for execution in executions}
+    universes = {execution.universe_size for execution in executions}
+    populations = {execution.population_size for execution in executions}
+    if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
+        moments = PrefixMoments(
+            np.stack([execution.values for execution in executions])
+        )
+        per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for method in methods:
+            batch = estimate_batch(
+                query,
+                moments,
+                next(iter(sizes)),
+                next(iter(universes)),
+                next(iter(populations)),
+                method,
             )
-            per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for method in methods:
-                batch = estimate_batch(
-                    query,
-                    moments,
-                    next(iter(sizes)),
-                    next(iter(universes)),
-                    next(iter(populations)),
-                    method,
-                )
-                per_method[method] = (
-                    batch.error_bounds,
-                    np.array(
-                        [
-                            true_error(processor, query, float(value))
-                            for value in batch.values
-                        ]
-                    ),
-                )
-            return per_method
+            per_method[method] = (
+                batch.error_bounds,
+                np.array(
+                    [
+                        true_error(processor, query, float(value))
+                        for value in batch.values
+                    ]
+                ),
+            )
+        return per_method
     bounds: dict[str, list[float]] = {method: [] for method in methods}
     errors: dict[str, list[float]] = {method: [] for method in methods}
     for execution in executions:
@@ -168,7 +138,6 @@ class MethodTrialsChunk:
         root: Root entropy of the seed stream.
         setting_index: First spawn-key coordinate of the setting.
         trial_indices: The trial coordinates this chunk evaluates.
-        vectorized: Price the chunk's trials with the batch kernels.
     """
 
     processor: QueryProcessor
@@ -178,7 +147,6 @@ class MethodTrialsChunk:
     root: tuple[int, ...]
     setting_index: int
     trial_indices: tuple[int, ...]
-    vectorized: bool = True
 
 
 def run_method_trials_chunk(
@@ -194,7 +162,6 @@ def run_method_trials_chunk(
         chunk.plan,
         chunk.methods,
         rngs,
-        vectorized=chunk.vectorized,
     )
 
 
@@ -207,9 +174,8 @@ def run_method_trials_seeded(
     root: RootSeed,
     setting_index: int = 0,
     executor: ParallelExecutor | None = None,
-    vectorized: bool = True,
 ) -> dict[str, TrialSummary]:
-    """Like :func:`run_method_trials`, with per-trial seed streams.
+    """Run one degradation setting for several methods over shared trials.
 
     Trial ``t`` draws its sample from ``child_rng(root, setting_index,
     t)``, so summaries are bit-identical for any worker count.
@@ -224,8 +190,6 @@ def run_method_trials_seeded(
         setting_index: Distinguishes settings sharing one root (e.g. the
             fractions of a Figure 4 curve).
         executor: Execution substrate; defaults to serial.
-        vectorized: Price trials with the batch kernels (the default);
-            False keeps the per-trial loop for differential testing.
 
     Returns:
         Per-method trial summaries.
@@ -242,7 +206,6 @@ def run_method_trials_seeded(
             root=root_t,
             setting_index=setting_index,
             trial_indices=tuple(chunk),
-            vectorized=vectorized,
         )
         for chunk in trial_chunks(trials, executor.worker_count(trials))
     ]
@@ -273,58 +236,26 @@ class RepairTrialSummary:
     true_error: float
 
 
-def run_repair_trials(
-    processor: QueryProcessor,
-    query: AggregateQuery,
-    plan: InterventionPlan,
-    correction_values: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-) -> RepairTrialSummary:
-    """Compare the basic and corrected bounds over shared trials.
-
-    Per trial: draw the degraded sample, compute the basic Smokescreen
-    estimate and the Algorithm 3 corrected bound against a *fixed*
-    correction set, and score the estimate's per-trial true error. When the
-    plan is effectively random, the corrected bound reported is the tighter
-    of the two (the §5.2.2 policy).
-
-    Args:
-        processor: The query processor.
-        query: The query.
-        plan: The degradation setting.
-        correction_values: The correction set's values (native resolution).
-        trials: Number of independent sampling trials.
-        rng: Trial randomness.
-
-    Returns:
-        The averaged summary.
-    """
-    uncorrected, corrected, error = _repair_trial_arrays(
-        processor, query, plan, correction_values, [rng] * trials
-    )
-    return RepairTrialSummary(
-        uncorrected_bound=float(uncorrected.mean()),
-        corrected_bound=float(corrected.mean()),
-        true_error=float(error.mean()),
-    )
-
-
 def _repair_trial_arrays(
     processor: QueryProcessor,
     query: AggregateQuery,
     plan: InterventionPlan,
     correction_values: np.ndarray,
     rngs: list[np.random.Generator],
-    vectorized: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (capped uncorrected, capped corrected, error) arrays.
 
-    With ``vectorized``, mean-family and variance settings stack the trial
-    samples into a prefix matrix, price every trial's basic estimate with
-    one batch call, and broadcast the Equation (12) correction over the
-    per-trial answers; quantile settings keep the per-trial loop (their
-    estimator and Equation (13) have no batch form).
+    Per trial: draw the degraded sample, compute the basic Smokescreen
+    estimate and the Algorithm 3 corrected bound against a *fixed*
+    correction set, and score the estimate's per-trial true error. When
+    the plan is effectively random, the corrected bound reported is the
+    tighter of the two (the §5.2.2 policy).
+
+    Mean-family and variance settings stack the trial samples into a
+    prefix matrix, price every trial's basic estimate with one batch call,
+    and broadcast the Equation (12) correction over the per-trial answers.
+    Quantile settings (their estimator and Equation (13) have no batch
+    form) and trials of differing shape take the per-trial scalar path.
     """
     from repro.estimators.quantile import SmokescreenQuantileEstimator
     from repro.estimators.repair import ProfileRepair
@@ -361,9 +292,7 @@ def _repair_trial_arrays(
     ]
 
     if (
-        vectorized
-        and samples
-        and (query.aggregate.is_mean_family or query.aggregate.is_variance)
+        (query.aggregate.is_mean_family or query.aggregate.is_variance)
         and len({array.size for array in value_arrays}) == 1
         and len({sample.universe_size for sample in samples}) == 1
         and value_arrays[0].size > 0
@@ -453,7 +382,6 @@ class RepairTrialsChunk:
         root: Root entropy of the seed stream.
         setting_index: First spawn-key coordinate of the setting.
         trial_indices: The trial coordinates this chunk evaluates.
-        vectorized: Price the chunk's trials with the batch kernels.
     """
 
     processor: QueryProcessor
@@ -463,7 +391,6 @@ class RepairTrialsChunk:
     root: tuple[int, ...]
     setting_index: int
     trial_indices: tuple[int, ...]
-    vectorized: bool = True
 
 
 def run_repair_trials_chunk(
@@ -479,7 +406,6 @@ def run_repair_trials_chunk(
         chunk.plan,
         chunk.correction_values,
         rngs,
-        vectorized=chunk.vectorized,
     )
 
 
@@ -492,9 +418,11 @@ def run_repair_trials_seeded(
     root: RootSeed,
     setting_index: int = 0,
     executor: ParallelExecutor | None = None,
-    vectorized: bool = True,
 ) -> RepairTrialSummary:
-    """Like :func:`run_repair_trials`, with per-trial seed streams.
+    """Compare the basic and corrected bounds over shared trials.
+
+    Trial ``t`` draws its sample from ``child_rng(root, setting_index,
+    t)``; see :func:`_repair_trial_arrays` for the per-trial comparison.
 
     Args:
         processor: The query processor.
@@ -506,8 +434,6 @@ def run_repair_trials_seeded(
         setting_index: Distinguishes settings sharing one root (e.g. the
             knobs of a Figure 6 row).
         executor: Execution substrate; defaults to serial.
-        vectorized: Price trials with the batch kernels (the default);
-            False keeps the per-trial loop for differential testing.
 
     Returns:
         The averaged summary (bit-identical for any worker count).
@@ -523,7 +449,6 @@ def run_repair_trials_seeded(
             root=root_t,
             setting_index=setting_index,
             trial_indices=tuple(chunk),
-            vectorized=vectorized,
         )
         for chunk in trial_chunks(trials, executor.worker_count(trials))
     ]

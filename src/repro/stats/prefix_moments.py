@@ -3,8 +3,8 @@
 The profiler's fraction sweeps evaluate every fraction of an ascending grid
 on *nested* prefix samples (:class:`repro.stats.sampling.ProgressiveSampler`):
 the sample at a low fraction is a prefix of the sample at any higher
-fraction. The loop implementation re-derives the mean, variance, and range
-of each prefix from scratch, costing O(trials × fractions × n) overall.
+fraction. Re-deriving the mean, variance, and range of each prefix from
+scratch costs O(trials × fractions × n) overall.
 
 :class:`PrefixMoments` stacks each trial's maximal prefix gather into one
 ``(trials, max_size)`` matrix, computes cumulative sums, sums of squares,
@@ -13,15 +13,9 @@ variance / range of *every* prefix length as O(trials) slices. Combined
 with the batch radius functions of :mod:`repro.stats.inequalities`, a whole
 fraction grid point is priced by a handful of broadcasted numpy operations.
 
-Live feeds do not arrive as a fixed matrix, so three streaming engines
-share the batch class's query API:
+Live feeds do not arrive as a fixed matrix, so two streaming engines keep
+moments of a single feed:
 
-- :class:`RollingPrefixMoments` — the growing-prefix counterpart:
-  ``append``/``extend`` fold new frame values in O(1) amortized time
-  (capacity-doubling buffers) while every cumulant stays **bit-identical**
-  to rebuilding a :class:`PrefixMoments` over the same prefix, because each
-  incremental step performs exactly the scalar operation
-  ``np.cumsum``/``accumulate`` would have performed at that position.
 - :class:`SlidingWindowMoments` — fixed-capacity window over the newest
   ``capacity`` values: deque-backed shifted cumulants with **exact** window
   minima/maxima via monotonic deques, all O(1) amortized per append.
@@ -31,13 +25,13 @@ share the batch class's query API:
 
 Numerical note: prefix means come from a sequential cumulative sum, while
 ``numpy``'s direct ``mean`` uses pairwise summation. Both are correct to
-floating-point accuracy; the profiler's differential tests pin the paths to
-each other within 1e-9, which is the repo-wide numerical-equivalence policy
-for the vectorized kernels. Variances are computed from cumulants *shifted
-by each row's first element*: the raw ``E[x²] − E[x]²`` form catastrophically
-cancels once values carry a large common offset (a ~1e8 offset leaves float64
-with no significant bits for a small spread), and shifting by a value from
-the data itself removes the offset without changing the variance.
+floating-point accuracy; the profiler's tests pin the batch kernels to the
+scalar estimators within 1e-9, the repo-wide numerical-equivalence policy.
+Variances are computed from cumulants *shifted by each row's first
+element*: the raw ``E[x²] − E[x]²`` form catastrophically cancels once
+values carry a large common offset (a ~1e8 offset leaves float64 with no
+significant bits for a small spread), and shifting by a value from the data
+itself removes the offset without changing the variance.
 """
 
 from __future__ import annotations
@@ -50,23 +44,47 @@ import numpy as np
 from repro.errors import ConfigurationError, EstimationError
 
 
-class _MomentQueries:
-    """Query surface shared by the batch and rolling prefix engines.
+class PrefixMoments:
+    """Cumulative first/second moments and running extrema per trial row.
 
-    Subclasses populate six aligned ``(trials, size)`` arrays — the raw
-    value matrix, the raw cumulative sum, the *shifted* cumulative sum and
-    sum of squares (values centered on each row's first element, held in
-    ``_shift``), and the running extrema — and every query below is an
-    O(trials) slice at column ``n - 1``.
+    One instance covers one ``(trials, max_size)`` matrix of prefix-sample
+    values; every query method takes a prefix length ``n`` and returns a
+    ``(trials,)`` array in O(trials). Six aligned ``(trials, max_size)``
+    arrays back the queries — the raw value matrix, the raw cumulative sum,
+    the *shifted* cumulative sum and sum of squares (values centered on
+    each row's first element, held in ``_shift``), and the running extrema
+    — and every query is a slice at column ``n - 1``.
     """
 
-    _matrix: np.ndarray
-    _cumsum: np.ndarray
-    _scumsum: np.ndarray
-    _scumsq: np.ndarray
-    _cummin: np.ndarray
-    _cummax: np.ndarray
-    _shift: np.ndarray
+    def __init__(self, matrix: np.ndarray) -> None:
+        """Precompute the cumulative statistics.
+
+        Args:
+            matrix: Per-trial prefix values, shape ``(trials, max_size)``;
+                row ``t`` holds trial ``t``'s maximal prefix gather, whose
+                leading ``n`` entries are exactly the trial's sample at
+                prefix length ``n``.
+        """
+        array = np.asarray(matrix, dtype=float)
+        if array.ndim != 2:
+            raise ConfigurationError(
+                f"prefix matrix must be 2-D (trials, max_size), "
+                f"got shape {array.shape}"
+            )
+        if array.shape[0] == 0 or array.shape[1] == 0:
+            raise ConfigurationError(
+                f"prefix matrix must be non-empty, got shape {array.shape}"
+            )
+        if not np.all(np.isfinite(array)):
+            raise EstimationError("prefix matrix contains non-finite values")
+        self._matrix = array
+        self._shift = array[:, 0].copy()
+        shifted = array - self._shift[:, None]
+        self._cumsum = np.cumsum(array, axis=1)
+        self._scumsum = np.cumsum(shifted, axis=1)
+        self._scumsq = np.cumsum(shifted * shifted, axis=1)
+        self._cummin = np.minimum.accumulate(array, axis=1)
+        self._cummax = np.maximum.accumulate(array, axis=1)
 
     @property
     def trials(self) -> int:
@@ -169,174 +187,6 @@ class _MomentQueries:
         """Per-trial sample ranges ``max - min`` of the prefixes."""
         n = self._check_size(n)
         return self._cummax[:, n - 1] - self._cummin[:, n - 1]
-
-
-class PrefixMoments(_MomentQueries):
-    """Cumulative first/second moments and running extrema per trial row.
-
-    One instance covers one ``(trials, max_size)`` matrix of prefix-sample
-    values; every query method takes a prefix length ``n`` and returns a
-    ``(trials,)`` array in O(trials).
-    """
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        """Precompute the cumulative statistics.
-
-        Args:
-            matrix: Per-trial prefix values, shape ``(trials, max_size)``;
-                row ``t`` holds trial ``t``'s maximal prefix gather, whose
-                leading ``n`` entries are exactly the trial's sample at
-                prefix length ``n``.
-        """
-        array = np.asarray(matrix, dtype=float)
-        if array.ndim != 2:
-            raise ConfigurationError(
-                f"prefix matrix must be 2-D (trials, max_size), "
-                f"got shape {array.shape}"
-            )
-        if array.shape[0] == 0 or array.shape[1] == 0:
-            raise ConfigurationError(
-                f"prefix matrix must be non-empty, got shape {array.shape}"
-            )
-        if not np.all(np.isfinite(array)):
-            raise EstimationError("prefix matrix contains non-finite values")
-        self._matrix = array
-        self._shift = array[:, 0].copy()
-        shifted = array - self._shift[:, None]
-        self._cumsum = np.cumsum(array, axis=1)
-        self._scumsum = np.cumsum(shifted, axis=1)
-        self._scumsq = np.cumsum(shifted * shifted, axis=1)
-        self._cummin = np.minimum.accumulate(array, axis=1)
-        self._cummax = np.maximum.accumulate(array, axis=1)
-
-
-class RollingPrefixMoments(_MomentQueries):
-    """Growing-prefix moments for live feeds: O(1) amortized appends.
-
-    Maintains exactly the cumulants :class:`PrefixMoments` would compute
-    over the values appended so far, in capacity-doubling buffers. Each
-    append performs the same scalar operation ``np.cumsum`` /
-    ``np.minimum.accumulate`` would have performed at that column, so every
-    query result is **bit-identical** to rebuilding the batch class on the
-    same prefix — the profiler's vectorized answers and the live feed's
-    incremental answers can never disagree.
-    """
-
-    def __init__(self, trials: int = 1, capacity: int = 64) -> None:
-        """Start an empty rolling prefix.
-
-        Args:
-            trials: Number of parallel trial rows fed per append (1 for a
-                single live feed).
-            capacity: Initial buffer capacity (grows by doubling).
-        """
-        if trials < 1:
-            raise ConfigurationError(f"trials must be positive, got {trials}")
-        if capacity < 1:
-            raise ConfigurationError(
-                f"capacity must be positive, got {capacity}"
-            )
-        self._rows = int(trials)
-        self._capacity = int(capacity)
-        self._size = 0
-        self._buffers = {
-            name: np.empty((self._rows, self._capacity), dtype=float)
-            for name in (
-                "matrix", "cumsum", "scumsum", "scumsq", "cummin", "cummax"
-            )
-        }
-        self._shift = np.zeros(self._rows, dtype=float)
-        self._refresh_views()
-
-    def _refresh_views(self) -> None:
-        k = self._size
-        self._matrix = self._buffers["matrix"][:, :k]
-        self._cumsum = self._buffers["cumsum"][:, :k]
-        self._scumsum = self._buffers["scumsum"][:, :k]
-        self._scumsq = self._buffers["scumsq"][:, :k]
-        self._cummin = self._buffers["cummin"][:, :k]
-        self._cummax = self._buffers["cummax"][:, :k]
-
-    def _grow(self) -> None:
-        new_capacity = self._capacity * 2
-        for name, buffer in self._buffers.items():
-            grown = np.empty((self._rows, new_capacity), dtype=float)
-            grown[:, : self._size] = buffer[:, : self._size]
-            self._buffers[name] = grown
-        self._capacity = new_capacity
-
-    @property
-    def size(self) -> int:
-        """Values appended so far (alias of :attr:`max_size`)."""
-        return self._size
-
-    def _as_column(self, values) -> np.ndarray:
-        column = np.asarray(values, dtype=float)
-        if column.ndim == 0:
-            column = column.reshape(1)
-        if column.shape != (self._rows,):
-            raise ConfigurationError(
-                f"append expects {self._rows} value(s) per arrival, "
-                f"got shape {column.shape}"
-            )
-        if not np.all(np.isfinite(column)):
-            raise EstimationError("stream values must be finite")
-        return column
-
-    def append(self, values) -> None:
-        """Fold one arrival (one value per trial row), O(1) amortized.
-
-        Args:
-            values: Scalar (``trials == 1``) or ``(trials,)`` array of
-                finite values — one new column of the prefix matrix.
-        """
-        column = self._as_column(values)
-        if self._size == self._capacity:
-            self._grow()
-        k = self._size
-        buffers = self._buffers
-        buffers["matrix"][:, k] = column
-        if k == 0:
-            self._shift = column.copy()
-            buffers["cumsum"][:, 0] = column
-            buffers["scumsum"][:, 0] = 0.0
-            buffers["scumsq"][:, 0] = 0.0
-            buffers["cummin"][:, 0] = column
-            buffers["cummax"][:, 0] = column
-        else:
-            shifted = column - self._shift
-            np.add(buffers["cumsum"][:, k - 1], column,
-                   out=buffers["cumsum"][:, k])
-            np.add(buffers["scumsum"][:, k - 1], shifted,
-                   out=buffers["scumsum"][:, k])
-            np.add(buffers["scumsq"][:, k - 1], shifted * shifted,
-                   out=buffers["scumsq"][:, k])
-            np.minimum(buffers["cummin"][:, k - 1], column,
-                       out=buffers["cummin"][:, k])
-            np.maximum(buffers["cummax"][:, k - 1], column,
-                       out=buffers["cummax"][:, k])
-        self._size += 1
-        self._refresh_views()
-
-    def extend(self, block) -> None:
-        """Fold a batch of arrivals, in order, atomically validated.
-
-        Args:
-            block: ``(trials, k)`` array of ``k`` new columns, or a 1-D
-                length-``k`` sequence when ``trials == 1``.
-        """
-        array = np.asarray(block, dtype=float)
-        if array.ndim == 1 and self._rows == 1:
-            array = array.reshape(1, -1)
-        if array.ndim != 2 or array.shape[0] != self._rows:
-            raise ConfigurationError(
-                f"extend expects a ({self._rows}, k) block, "
-                f"got shape {array.shape}"
-            )
-        if not np.all(np.isfinite(array)):
-            raise EstimationError("stream values must be finite")
-        for j in range(array.shape[1]):
-            self.append(array[:, j])
 
 
 class SlidingWindowMoments:
@@ -504,8 +354,7 @@ class DecayedMoments:
 
         Args:
             decay: Per-arrival weight multiplier in (0, 1) — older values
-                fade geometrically. (For no forgetting use
-                :class:`RollingPrefixMoments` instead.)
+                fade geometrically.
         """
         decay = float(decay)
         if not math.isfinite(decay) or not 0.0 < decay < 1.0:

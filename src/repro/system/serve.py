@@ -1259,7 +1259,24 @@ class ServeDaemon:
             name, _, value = text.partition(":")
             headers[name.strip().lower()] = value.strip()
         payload: dict = {}
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length", "").strip() or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            return 400, "application/json", json.dumps(
+                {"error": f"Content-Length {declared[:32]!r} is not a "
+                          "non-negative integer"}
+            )
+        # Compare digit counts before int(): a 5000-digit value must not
+        # reach the int parser's digit limit.
+        digits = declared.lstrip("0") or "0"
+        if (
+            len(digits) > len(str(_MAX_BODY_BYTES))
+            or int(digits) > _MAX_BODY_BYTES
+        ):
+            return 413, "application/json", json.dumps(
+                {"error": f"request body exceeds the {_MAX_BODY_BYTES}-byte "
+                          "limit"}
+            )
+        length = int(digits)
         if length:
             raw = await asyncio.wait_for(reader.readexactly(length), timeout=30)
             try:
@@ -1409,10 +1426,15 @@ class ServeDaemon:
         )
 
 
+#: Largest request body read: a maximal stream ingest at 64 bytes per
+#: value, far above any JSON rendering of a float.
+_MAX_BODY_BYTES = 64 * ServeSession._MAX_STREAM_VALUES
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }

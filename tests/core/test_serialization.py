@@ -136,7 +136,9 @@ class TestHypercubeRoundTrip:
         profile = decoded.slice_sampling()
         assert profile.axis == "sampling"
 
-    def test_generated_cube_round_trips(self, processor, detrac_dataset, yolo_car, rng, tmp_path):
+    def test_generated_cube_round_trips(
+        self, processor, detrac_dataset, yolo_car, tmp_path
+    ):
         """A real profiler output survives persistence bit-for-bit."""
         from repro.core.candidates import CandidateGrid
         from repro.core.profiler import DegradationProfiler
@@ -148,8 +150,8 @@ class TestHypercubeRoundTrip:
             resolutions=(Resolution(256), Resolution(608)),
             removals=((), (ObjectClass.FACE,)),
         )
-        cube = DegradationProfiler(processor, trials=1).generate_hypercube(
-            query, grid, rng
+        cube = DegradationProfiler(processor, trials=1).generate_hypercube_seeded(
+            query, grid, root=0
         )
         path = tmp_path / "real.json"
         save_hypercube(cube, path)

@@ -154,7 +154,7 @@ class TestVarDispatch:
         expected = yolo_car.run(detrac_dataset).counts.astype(float).var()
         assert truth == pytest.approx(expected)
 
-    def test_var_profile_generation(self, processor, detrac_dataset, yolo_car, rng):
+    def test_var_profile_generation(self, processor, detrac_dataset, yolo_car):
         """The profiler handles VAR end to end, including correction."""
         from repro.core.correction import determine_correction_set
         from repro.core.profiler import DegradationProfiler
@@ -165,8 +165,8 @@ class TestVarDispatch:
             processor, query, np.random.default_rng(7)
         )
         profiler = DegradationProfiler(processor, trials=2)
-        profile = profiler.profile_sampling(
-            query, (0.3, 0.6, 0.9), rng, correction=correction
+        profile = profiler.profile_sampling_seeded(
+            query, (0.3, 0.6, 0.9), root=0, correction=correction
         )
         assert len(profile.points) == 3
         assert all(0.0 <= point.error_bound <= 1.0 for point in profile.points)

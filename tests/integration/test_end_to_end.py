@@ -33,8 +33,8 @@ class TestAdministrationProcedure:
     )
     def test_profile_choose_estimate(self, system, aggregate):
         query = system.query(aggregate)
-        profile = system.profiler.profile_sampling(
-            query, (0.05, 0.1, 0.2, 0.4, 0.8), np.random.default_rng(1)
+        profile = system.profiler.profile_sampling_seeded(
+            query, (0.05, 0.1, 0.2, 0.4, 0.8), root=1
         )
         max_error = float(profile.error_bounds().max()) + 0.01
         choice = choose_tradeoff(profile, PublicPreferences(max_error=max_error))
@@ -46,8 +46,8 @@ class TestAdministrationProcedure:
 
     def test_stricter_target_means_less_degradation(self, system):
         query = system.query(Aggregate.AVG)
-        profile = system.profiler.profile_sampling(
-            query, (0.05, 0.1, 0.2, 0.4, 0.8), np.random.default_rng(2)
+        profile = system.profiler.profile_sampling_seeded(
+            query, (0.05, 0.1, 0.2, 0.4, 0.8), root=2
         )
         bounds = profile.error_bounds()
         strict = choose_tradeoff(
@@ -80,15 +80,14 @@ class TestBoundValidityEndToEnd:
     def test_repair_coverage_under_removal(self, system):
         """Removal biases the universe; the repaired profile bound covers
         the per-trial errors."""
-        from repro.experiments.trials import run_repair_trials
+        from repro.experiments.trials import run_repair_trials_seeded
 
         query = system.query(Aggregate.AVG)
         processor = system.processor
-        correction_rng = np.random.default_rng(4)
         correction = system.build_correction_set(query)
         plan = InterventionPlan.from_knobs(f=0.3, c=(ObjectClass.PERSON,))
-        summary = run_repair_trials(
-            processor, query, plan, correction.values, 30, correction_rng
+        summary = run_repair_trials_seeded(
+            processor, query, plan, correction.values, 30, root=4
         )
         assert summary.corrected_bound >= summary.true_error
 
@@ -111,7 +110,7 @@ class TestCrossDatasetConsistency:
 
 class TestExtensionInterventions:
     def test_noise_plan_biases_outputs_and_repair_covers(self, system):
-        from repro.experiments.trials import run_repair_trials
+        from repro.experiments.trials import run_repair_trials_seeded
         from repro.interventions import FrameSampling, NoiseAddition
 
         query = system.query(Aggregate.AVG)
@@ -121,8 +120,8 @@ class TestExtensionInterventions:
         )
         assert not plan.is_random_for(query.dataset)
         correction = system.build_correction_set(query)
-        summary = run_repair_trials(
-            processor, query, plan, correction.values, 20, np.random.default_rng(6)
+        summary = run_repair_trials_seeded(
+            processor, query, plan, correction.values, 20, root=6
         )
         # Noise suppresses detections systematically...
         assert summary.true_error > 0.05

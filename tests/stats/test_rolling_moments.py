@@ -1,10 +1,7 @@
-"""Streaming moment engines vs their batch / from-scratch references.
+"""Streaming moment engines vs their from-scratch references.
 
-Three contracts, one per engine:
+Two contracts, one per engine:
 
-- :class:`RollingPrefixMoments` must be **bit-identical** to rebuilding a
-  :class:`PrefixMoments` over the same prefix — not merely close: the live
-  feed and the profiler's vectorized sweep must never disagree.
 - :class:`SlidingWindowMoments` must track a from-scratch recomputation of
   the retained window within the repo's 1e-9 policy, with **exact** extrema.
 - :class:`DecayedMoments` must satisfy the closed-form weight identities
@@ -27,7 +24,6 @@ from repro.errors import ConfigurationError, EstimationError
 from repro.stats.prefix_moments import (
     DecayedMoments,
     PrefixMoments,
-    RollingPrefixMoments,
     SlidingWindowMoments,
 )
 
@@ -38,111 +34,6 @@ finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 value_lists = st.lists(finite_values, min_size=1, max_size=120)
-
-
-def batch_on_prefix(rolling: RollingPrefixMoments) -> PrefixMoments:
-    """The batch engine rebuilt on exactly the appended prefix."""
-    return PrefixMoments(rolling._matrix.copy())
-
-
-def assert_bit_identical(
-    rolling: RollingPrefixMoments, batch: PrefixMoments, n: int
-) -> None:
-    np.testing.assert_array_equal(rolling.mean(n), batch.mean(n))
-    np.testing.assert_array_equal(rolling.variance(n), batch.variance(n))
-    np.testing.assert_array_equal(
-        rolling.second_moment(n), batch.second_moment(n)
-    )
-    np.testing.assert_array_equal(rolling.minimum(n), batch.minimum(n))
-    np.testing.assert_array_equal(rolling.maximum(n), batch.maximum(n))
-    np.testing.assert_array_equal(rolling.value_range(n), batch.value_range(n))
-    np.testing.assert_array_equal(
-        rolling.prefix_mean_matrix(n), batch.prefix_mean_matrix(n)
-    )
-    np.testing.assert_array_equal(
-        rolling.prefix_variance_matrix(n), batch.prefix_variance_matrix(n)
-    )
-
-
-class TestRollingPrefixMoments:
-    def test_rejects_bad_shape_params(self):
-        with pytest.raises(ConfigurationError):
-            RollingPrefixMoments(trials=0)
-        with pytest.raises(ConfigurationError):
-            RollingPrefixMoments(capacity=0)
-
-    def test_empty_engine_rejects_queries(self):
-        rolling = RollingPrefixMoments()
-        with pytest.raises(ConfigurationError):
-            rolling.mean(1)
-
-    def test_append_rejects_non_finite(self):
-        rolling = RollingPrefixMoments()
-        rolling.append(1.0)
-        with pytest.raises(EstimationError):
-            rolling.append(math.nan)
-        assert rolling.size == 1
-
-    def test_append_rejects_wrong_arity(self):
-        rolling = RollingPrefixMoments(trials=3)
-        with pytest.raises(ConfigurationError):
-            rolling.append([1.0, 2.0])
-
-    def test_bit_identical_to_batch_across_growth(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.gamma(2.0, 3.0, size=(9, 80))
-        rolling = RollingPrefixMoments(trials=9, capacity=4)
-        for j in range(matrix.shape[1]):
-            rolling.append(matrix[:, j])
-            if j + 1 in (1, 2, 5, 33, 80):
-                batch = PrefixMoments(matrix[:, : j + 1])
-                for n in range(1, j + 2):
-                    if n in (1, j // 2 + 1, j + 1):
-                        assert_bit_identical(rolling, batch, n)
-        assert rolling.size == 80
-        assert rolling.max_size == 80
-
-    def test_extend_equals_repeated_append(self):
-        rng = np.random.default_rng(11)
-        block = rng.normal(5.0, 2.0, size=(3, 40))
-        via_extend = RollingPrefixMoments(trials=3, capacity=8)
-        via_extend.extend(block)
-        via_append = RollingPrefixMoments(trials=3, capacity=8)
-        for j in range(block.shape[1]):
-            via_append.append(block[:, j])
-        np.testing.assert_array_equal(
-            via_extend.prefix_mean_matrix(40), via_append.prefix_mean_matrix(40)
-        )
-        np.testing.assert_array_equal(
-            via_extend.prefix_variance_matrix(40),
-            via_append.prefix_variance_matrix(40),
-        )
-
-    def test_extend_is_atomic_on_non_finite(self):
-        rolling = RollingPrefixMoments()
-        rolling.extend([1.0, 2.0, 3.0])
-        before = rolling._matrix.copy()
-        with pytest.raises(EstimationError):
-            rolling.extend([4.0, math.inf, 5.0])
-        assert rolling.size == 3
-        np.testing.assert_array_equal(rolling._matrix, before)
-
-    def test_one_dimensional_extend_for_single_feed(self):
-        rolling = RollingPrefixMoments()
-        rolling.extend([2.0, 4.0, 6.0])
-        batch = PrefixMoments(np.array([[2.0, 4.0, 6.0]]))
-        assert_bit_identical(rolling, batch, 3)
-
-    @settings(max_examples=60, deadline=None)
-    @given(values=value_lists)
-    def test_property_rolling_equals_batch(self, values):
-        rolling = RollingPrefixMoments(capacity=2)
-        for value in values:
-            rolling.append(value)
-        batch = PrefixMoments(np.array([values]))
-        n = len(values)
-        assert_bit_identical(rolling, batch, n)
-        assert_bit_identical(rolling, batch, (n + 1) // 2)
 
 
 class TestSlidingWindowMoments:
@@ -323,19 +214,6 @@ class TestLargeOffsetRegression:
                 [matrix[:, :n].var(axis=1) for n in range(2, 201)], axis=1
             ),
             rtol=1e-5,
-        )
-
-    def test_rolling_variance_at_1e8_offset(self):
-        rng = np.random.default_rng(17)
-        values = rng.normal(0.0, 1.0, size=300) + 1e8
-        rolling = RollingPrefixMoments()
-        rolling.extend(values)
-        np.testing.assert_allclose(
-            rolling.variance(300), values.var(), rtol=1e-6
-        )
-        batch = PrefixMoments(values.reshape(1, -1))
-        np.testing.assert_array_equal(
-            rolling.variance(300), batch.variance(300)
         )
 
     def test_second_moment_reconstruction_at_offset(self):

@@ -47,6 +47,7 @@ from repro.system.serve import (
     ServeDaemon,
     ServeSession,
     TokenBucket,
+    _MAX_BODY_BYTES,
     post_json,
 )
 
@@ -574,6 +575,90 @@ class TestSubprocessLifecycle:
         assert record["status"] == "ok"
         assert record["facts"]["serve"]["requests"] == 1
         assert record["facts"]["serve"]["kernel_calls"] == 1
+
+
+async def raw_status(port: int, head: bytes, body: bytes = b"") -> int:
+    """Send raw request bytes; return the answer's status code."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(head + body)
+        await writer.drain()
+        status_line = await asyncio.wait_for(reader.readline(), timeout=10)
+        await reader.read()
+        return int(status_line.split()[1])
+    finally:
+        writer.close()
+
+
+class TestContentLengthFraming:
+    """Regression: a bad ``Content-Length`` is the client's error.
+
+    ``abc`` and ``-5`` used to reach ``int()``/``readexactly`` and come back
+    as a 500 that dumped the flight recorder into the run ledger, and a
+    huge length made the daemon wait for a body it would never read.
+    """
+
+    @staticmethod
+    def _head(length: bytes) -> bytes:
+        return (
+            b"POST /bound HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + length + b"\r\nConnection: close\r\n\r\n"
+        )
+
+    def _probe(self, tmp_path: Path, length: bytes) -> tuple[int, list, dict]:
+        ledger = tmp_path / "runs.jsonl"
+        run_ledger.begin_run("serve-test", {}, str(ledger))
+
+        async def scenario(daemon, port):
+            status = await raw_status(port, self._head(length), b'{"a": 1}')
+            health, body = await post_json("127.0.0.1", port, "/healthz")
+            assert health == 200 and body["status"] == "ok"
+            return status
+
+        try:
+            status = run_with_daemon(scenario)
+            records_before_finish = (
+                run_ledger.read_runs(ledger) if ledger.exists() else []
+            )
+        finally:
+            record = run_ledger.finish_run("ok", 0)
+        return status, records_before_finish, record
+
+    @pytest.mark.parametrize(
+        "length",
+        [b"abc", b"-5", b"1.5", b"+8", b"0x10", "²".encode("latin-1")],
+        ids=["alpha", "negative", "decimal", "plus", "hex", "superscript"],
+    )
+    def test_non_integer_length_is_400(self, tmp_path, length):
+        status, records, record = self._probe(tmp_path, length)
+        assert status == 400
+        assert records == []
+        assert "flight_record" not in record["facts"]
+        assert not [
+            event for event in record["events"]
+            if event["event"] == "flight.recorder"
+        ]
+
+    @pytest.mark.parametrize(
+        "length",
+        [
+            str(_MAX_BODY_BYTES + 1).encode(),
+            b"99999999999999999999",
+            b"9" * 5000,
+        ],
+        ids=["limit-plus-one", "20-digits", "5000-digits"],
+    )
+    def test_oversized_length_is_413_without_reading(self, tmp_path, length):
+        status, records, record = self._probe(tmp_path, length)
+        assert status == 413
+        assert records == []
+        assert "flight_record" not in record["facts"]
+
+    def test_limit_leaves_room_for_a_maximal_ingest(self):
+        values = [-1.2345678901234567e-300] * ServeSession._MAX_STREAM_VALUES
+        body = json.dumps({"id": "x" * 64, "values": values})
+        assert len(body.encode()) <= _MAX_BODY_BYTES
 
 
 class TestBudgetValidation:
