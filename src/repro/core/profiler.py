@@ -21,16 +21,16 @@ independent of evaluation order — and therefore of the worker count when
 a :class:`~repro.system.executor.ParallelExecutor` fans settings out over
 processes.
 
-A sweep computes every fraction grid point from ONE gather of each trial's
-maximal prefix sample: because prefix samples are nested,
-``full[eligible[perm[:n]]]`` equals ``(full[eligible[perm]])[:n]``. The
-per-trial gathers stack into one ``(trials, max_size)``
-:class:`~repro.stats.prefix_moments.PrefixMoments` matrix, and every
-fraction is priced by the estimators' batch kernels — O(trials × n) of
-numpy cumulative sums instead of O(trials × fractions × n) of Python-level
-estimator calls. The scalar estimators remain the reference: the tests
-re-derive cells trial by trial and pin the kernels to them within the
-repo's 1e-9 numerical-equivalence policy.
+A sweep computes every fraction grid point from ONE gather: each trial's
+ordered draw (:func:`~repro.stats.sampling.ordered_draw_matrix`, up to the
+top design size) indexes ``full[eligible]`` into one ``(trials, max_size)``
+matrix, and since samples are nested, fraction ``f``'s sample is its first
+``n_f`` columns. :class:`~repro.stats.prefix_moments.PrefixMoments` reduces
+the matrix at the design sizes only, and the estimators' batch kernels
+price every fraction from it — O(trials × n) of numpy work instead of
+O(trials × fractions × n) of Python-level estimator calls. The scalar
+estimators remain the reference: the tests re-derive cells trial by trial
+and pin the kernels to them within the 1e-9 numerical-equivalence policy.
 
 Bound selection per setting:
 
@@ -62,7 +62,7 @@ from repro.interventions.plan import DegradedSample, InterventionPlan
 from repro.query.processor import QueryProcessor
 from repro.query.query import AggregateQuery
 from repro.stats.prefix_moments import PrefixMoments
-from repro.stats.sampling import ProgressiveSampler, SampleDesign
+from repro.stats.sampling import SampleDesign, ordered_draw_matrix
 from repro.system import telemetry
 from repro.system.costs import InvocationLedger
 from repro.system.executor import (
@@ -222,29 +222,19 @@ class DegradationProfiler:
             corrected_bound = self._corrected_mean_bound(
                 query, basic, correction, scale
             )
-            if plan_is_random:
-                bound = min(basic.error_bound, corrected_bound)
-            else:
-                bound = corrected_bound
-            return Estimate(
-                value=basic.value,
-                error_bound=bound,
-                method=basic.method,
-                n=basic.n,
-                universe_size=basic.universe_size,
-                extras=dict(basic.extras),
+        else:
+            basic = self._quantile_estimator.estimate(
+                values,
+                universe_size,
+                query.effective_quantile,
+                query.delta,
+                query.aggregate,
             )
-
-        basic = self._quantile_estimator.estimate(
-            values,
-            universe_size,
-            query.effective_quantile,
-            query.delta,
-            query.aggregate,
-        )
-        if correction is None:
-            return basic
-        corrected_bound = self._corrected_quantile_bound(query, basic, correction)
+            if correction is None:
+                return basic
+            corrected_bound = self._corrected_quantile_bound(
+                query, basic, correction
+            )
         if plan_is_random:
             bound = min(basic.error_bound, corrected_bound)
         else:
@@ -397,7 +387,7 @@ class DegradationProfiler:
         universes = {sample.universe_size for sample in samples}
         if len(sizes) == 1 and len(universes) == 1:
             n = next(iter(sizes))
-            moments = PrefixMoments(np.stack(values_list))
+            moments = PrefixMoments(np.stack(values_list), (n,))
             values, bounds = self._estimate_prefix_batch(
                 query,
                 moments,
@@ -468,139 +458,6 @@ class DegradationProfiler:
                 query, samples, plan_is_random, correction
             )
 
-    def _sweep_core(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        samplers: list[ProgressiveSampler],
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """Evaluate ascending fractions from one prefix gather per trial.
-
-        The maximal prefix sample's values are gathered once per trial;
-        every fraction's values are a slice of that array (prefix samples
-        are nested), so the whole grid costs one full-corpus gather plus
-        cheap per-fraction slices — identical results to re-gathering at
-        each fraction, without the redundant index arithmetic.
-
-        Returns one :class:`SweptFraction` per evaluated fraction;
-        fractions skipped by early stopping are absent.
-        """
-        if list(fractions) != sorted(fractions):
-            raise ConfigurationError("fractions must be ascending for reuse")
-        if not fractions:
-            return []
-        with telemetry.span(
-            "profiler.sweep",
-            resolution=resolution.side if resolution is not None else "native",
-            removal=len(removal),
-            fractions=len(fractions),
-            trials=len(samplers),
-        ):
-            return self._sweep_core_timed(
-                query, fractions, resolution, removal, correction, samplers,
-                early_stop_tolerance,
-            )
-
-    def _sweep_core_timed(
-        self,
-        query: AggregateQuery,
-        fractions: tuple[float, ...],
-        resolution: Resolution | None,
-        removal: tuple[ObjectClass, ...],
-        correction: CorrectionSet | None,
-        samplers: list[ProgressiveSampler],
-        early_stop_tolerance: float | None,
-    ) -> list[SweptFraction]:
-        """:meth:`_sweep_core`'s body, inside its telemetry span."""
-        base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
-        eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        effective_resolution = base_plan.effective_resolution(query.dataset)
-        quality = base_plan.quality
-        sizes = [SampleDesign(eligible.size, f).size for f in fractions]
-        max_size = max(sizes)
-
-        with telemetry.span(
-            "profiler.gather", eligible=int(eligible.size), max_size=max_size
-        ):
-            full_values = self._processor.frame_values(
-                query, effective_resolution, quality
-            )
-            # One (trials, max_size) fancy index instead of a gather per
-            # trial; row t is exactly
-            # full_values[eligible[samplers[t].prefix(...)]].
-            prefix_matrix = np.stack(
-                [sampler.prefix(max_size) for sampler in samplers]
-            )
-            value_matrix = full_values[eligible[prefix_matrix]]
-        # The fraction knob never changes the randomness classification
-        # (frame sampling is always the random intervention), so classify
-        # the setting once.
-        plan_is_random = self._plan_is_random(
-            query,
-            InterventionPlan.from_knobs(f=fractions[0], p=resolution, c=removal),
-        )
-
-        # One PrefixMoments pass over the stacked trial matrix serves every
-        # fraction as O(trials) slices. All trials share the size
-        # trajectory, so the ledger is charged ``new_frames × trials`` per
-        # fraction, and early stopping walks the ascending fractions with
-        # the all-trials mean-bound rule.
-        trials = len(samplers)
-        with telemetry.span("profiler.price", trials=trials, fractions=len(fractions)):
-            moments = PrefixMoments(value_matrix)
-            processed = 0
-            results: list[SweptFraction] = []
-            previous_bound: float | None = None
-            for fraction, size in zip(fractions, sizes):
-                new_frames = max(0, size - processed)
-                self._record_sampled(
-                    query, effective_resolution, quality, new_frames * trials
-                )
-                processed = max(processed, size)
-                values, bounds = self._estimate_prefix_batch(
-                    query, moments, size, int(eligible.size), plan_is_random,
-                    correction,
-                )
-                swept = SweptFraction(
-                    fraction=fraction,
-                    values=np.asarray(values, dtype=float),
-                    bounds=np.asarray(bounds, dtype=float),
-                    size=size,
-                )
-                results.append(swept)
-                telemetry.count("profiler.trials_priced", trials)
-                mean_bound = float(swept.bounds.mean())
-                if (
-                    early_stop_tolerance is not None
-                    and previous_bound is not None
-                    and abs(previous_bound - mean_bound) < early_stop_tolerance
-                ):
-                    telemetry.count("profiler.early_stop")
-                    break
-                previous_bound = mean_bound
-            return results
-
-    @staticmethod
-    def _sweep_max_size(universe: int, fractions: tuple[float, ...]) -> int | None:
-        """The largest design size a fraction sweep will request.
-
-        Passed to :class:`ProgressiveSampler` so each trial draws only the
-        prefix the sweep can actually consume (O(max_size) instead of a
-        full O(universe) permutation). None when the grid is empty or
-        malformed — the sweep core raises its own error then, and the
-        sampler falls back to the full permutation meanwhile.
-        """
-        if not fractions:
-            return None
-        top = max(fractions)
-        if not 0.0 < top <= 1.0:
-            return None
-        return SampleDesign(universe, top).size
-
     def sweep_fractions_seeded(
         self,
         query: AggregateQuery,
@@ -615,13 +472,18 @@ class DegradationProfiler:
     ) -> list[SweptFraction]:
         """One (resolution, removal) fraction sweep with seeded trials.
 
-        Trial ``t`` permutes the eligible universe with ``child_rng(root,
-        unit_index, t)``; results are independent of which process runs
-        the sweep and which other trials it shares the unit with.
+        Trial ``t`` orders the eligible universe with ``child_rng(root,
+        unit_index, t)`` (:func:`~repro.stats.sampling.ordered_draw`, up
+        to the top design size); results are independent of which process
+        runs the sweep and which other trials it shares the unit with.
+        Every fraction's sample is a prefix of that ordering, so the values
+        are gathered once into a ``(trials, max_size)`` matrix and each
+        fraction is priced from its moments at the design sizes. The grid
+        is validated before anything is drawn.
 
         Args:
             query: The query to profile.
-            fractions: Ascending fraction candidates.
+            fractions: Ascending fraction candidates in ``(0, 1]``.
             resolution: Fixed resolution knob (None = native).
             removal: Fixed restricted classes.
             correction: Optional correction set.
@@ -634,21 +496,87 @@ class DegradationProfiler:
                 merging, on the all-trials mean).
 
         Returns:
-            Per-fraction per-trial results, in ``trial_indices`` order.
+            Per-fraction per-trial results, in ``trial_indices`` order;
+            fractions skipped by early stopping are absent.
         """
+        fractions = tuple(fractions)
+        if not fractions:
+            return []
+        if list(fractions) != sorted(fractions):
+            raise ConfigurationError("fractions must be ascending for reuse")
         base_plan = InterventionPlan.from_knobs(p=resolution, c=removal)
         eligible = base_plan.eligible_indices(query.dataset, self._processor.suite)
-        max_size = self._sweep_max_size(int(eligible.size), fractions)
-        samplers = [
-            ProgressiveSampler(
-                eligible.size, child_rng(root, unit_index, t), max_size=max_size
+        universe = int(eligible.size)
+        sizes = [SampleDesign(universe, f).size for f in fractions]
+        effective_resolution = base_plan.effective_resolution(query.dataset)
+        quality = base_plan.quality
+        trials = len(trial_indices)
+        with telemetry.span(
+            "profiler.sweep",
+            resolution=resolution.side if resolution is not None else "native",
+            removal=len(removal),
+            fractions=len(fractions),
+            trials=trials,
+        ):
+            draws = ordered_draw_matrix(
+                universe,
+                [child_rng(root, unit_index, t) for t in trial_indices],
+                sizes[-1],
             )
-            for t in trial_indices
-        ]
-        return self._sweep_core(
-            query, fractions, resolution, removal, correction, samplers,
-            early_stop_tolerance,
-        )
+            with telemetry.span(
+                "profiler.gather", eligible=universe, max_size=sizes[-1]
+            ):
+                full_values = self._processor.frame_values(
+                    query, effective_resolution, quality
+                )
+                # Row t is full_values[eligible[draws[t]]]; every fraction's
+                # sample is a prefix of it.
+                value_matrix = full_values[eligible][draws]
+            # The fraction knob never changes the randomness classification
+            # (frame sampling is always the random intervention), so
+            # classify the setting once.
+            plan_is_random = self._plan_is_random(
+                query,
+                InterventionPlan.from_knobs(f=fractions[0], p=resolution, c=removal),
+            )
+            # All trials share the size trajectory, so the ledger is charged
+            # ``new_frames × trials`` per fraction, and early stopping walks
+            # the ascending fractions with the all-trials mean-bound rule.
+            with telemetry.span(
+                "profiler.price", trials=trials, fractions=len(fractions)
+            ):
+                moments = PrefixMoments(value_matrix, sizes)
+                processed = 0
+                results: list[SweptFraction] = []
+                previous_bound: float | None = None
+                for fraction, size in zip(fractions, sizes):
+                    self._record_sampled(
+                        query, effective_resolution, quality,
+                        (size - processed) * trials,
+                    )
+                    processed = size
+                    values, bounds = self._estimate_prefix_batch(
+                        query, moments, size, universe, plan_is_random,
+                        correction,
+                    )
+                    swept = SweptFraction(
+                        fraction=fraction,
+                        values=np.asarray(values, dtype=float),
+                        bounds=np.asarray(bounds, dtype=float),
+                        size=size,
+                    )
+                    results.append(swept)
+                    telemetry.count("profiler.trials_priced", trials)
+                    mean_bound = float(swept.bounds.mean())
+                    if (
+                        early_stop_tolerance is not None
+                        and previous_bound is not None
+                        and abs(previous_bound - mean_bound) < early_stop_tolerance
+                    ):
+                        telemetry.count("profiler.early_stop")
+                        break
+                    previous_bound = mean_bound
+                return results
 
     # ------------------------------------------------------------------
     # Seeded, parallelizable profile generation.

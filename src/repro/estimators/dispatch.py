@@ -238,7 +238,7 @@ def estimate_rows(
             f"estimate_rows needs a non-empty (rows, n) matrix, got shape "
             f"{matrix.shape}"
         )
-    moments = PrefixMoments(matrix)
+    moments = PrefixMoments(matrix, (matrix.shape[1],))
     batch = estimate_batch(
         query,
         moments,

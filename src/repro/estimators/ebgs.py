@@ -98,7 +98,7 @@ class EBGSEstimator(MeanEstimator):
         """Vectorized EBGS envelope over all trials at one prefix length.
 
         The ``(trials, n)`` prefix mean/variance matrices come straight
-        from the shared cumulative sums; the per-prefix radii and the
+        from the prefix moments' running sums; the per-prefix radii and the
         max/min envelope reduce along the prefix axis. Row-for-row this
         performs the same sequential cumulative arithmetic as the scalar
         path, so the agreement is exact, not merely within tolerance.

@@ -73,15 +73,16 @@ def _method_trial_arrays(
     universes = {execution.universe_size for execution in executions}
     populations = {execution.population_size for execution in executions}
     if len(sizes) == len(universes) == len(populations) == 1 and 0 not in sizes:
+        n = next(iter(sizes))
         moments = PrefixMoments(
-            np.stack([execution.values for execution in executions])
+            np.stack([execution.values for execution in executions]), (n,)
         )
         per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for method in methods:
             batch = estimate_batch(
                 query,
                 moments,
-                next(iter(sizes)),
+                n,
                 next(iter(universes)),
                 next(iter(populations)),
                 method,
@@ -300,10 +301,11 @@ def _repair_trial_arrays(
         estimator = (
             variance_estimator if query.aggregate.is_variance else mean_estimator
         )
-        moments = PrefixMoments(np.stack(value_arrays))
+        n = value_arrays[0].size
+        moments = PrefixMoments(np.stack(value_arrays), (n,))
         batch = estimator.estimate_batch(
             moments,
-            value_arrays[0].size,
+            n,
             samples[0].universe_size,
             query.delta,
             value_range=query.known_value_range,

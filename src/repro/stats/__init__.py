@@ -7,14 +7,14 @@ estimators (:mod:`repro.estimators`) are built on:
   Hoeffding–Serfling, empirical Bernstein (single-``n`` and the
   union-over-time form used by the EBGS stopping algorithm) and the CLT,
   each in a scalar and an array-broadcasting ``*_batch`` form.
-- :mod:`repro.stats.prefix_moments` — cumulative moments of nested prefix
-  samples, the engine behind the profiler's vectorized fraction sweeps.
+- :mod:`repro.stats.prefix_moments` — moments of nested prefix samples at
+  declared lengths, the engine behind the profiler's batch fraction sweeps.
 - :mod:`repro.stats.hypergeometric` — moments and the normal approximation of
   the hypergeometric distribution used by the MAX/MIN quantile bound
   (Theorem 3.2 of the paper).
 - :mod:`repro.stats.sampling` — sampling-without-replacement designs,
-  including the progressive (nested) sampler that lets profile generation
-  reuse model invocations across sample fractions (paper §3.3.2).
+  including the ordered (nested) draw that lets profile generation reuse
+  model invocations across sample fractions (paper §3.3.2).
 - :mod:`repro.stats.quantiles` — rank and distinct-value-frequency utilities
   underlying the rank-based quantile error metric.
 """

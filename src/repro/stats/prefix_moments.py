@@ -1,17 +1,20 @@
-"""Prefix-cumulative moments of nested trial samples — batch and streaming.
+"""Moments of nested trial samples at declared prefix lengths — batch and streaming.
 
 The profiler's fraction sweeps evaluate every fraction of an ascending grid
-on *nested* prefix samples (:class:`repro.stats.sampling.ProgressiveSampler`):
-the sample at a low fraction is a prefix of the sample at any higher
-fraction. Re-deriving the mean, variance, and range of each prefix from
-scratch costs O(trials × fractions × n) overall.
+on *nested* prefix samples (:func:`repro.stats.sampling.ordered_draw`): the
+sample at a low fraction is a prefix of the sample at any higher fraction.
+Re-deriving the mean, variance, and range of each prefix from scratch costs
+O(trials × fractions × n) overall.
 
-:class:`PrefixMoments` stacks each trial's maximal prefix gather into one
-``(trials, max_size)`` matrix, computes cumulative sums, sums of squares,
-and running extrema **once** (O(trials × n)), and then serves the mean /
-variance / range of *every* prefix length as O(trials) slices. Combined
-with the batch radius functions of :mod:`repro.stats.inequalities`, a whole
-fraction grid point is priced by a handful of broadcasted numpy operations.
+:class:`PrefixMoments` takes each trial's maximal prefix gather, stacked
+into one ``(trials, max_size)`` matrix, and the prefix lengths its caller
+reads (a sweep's design sizes, or a point estimate's one size). It reduces
+each segment between consecutive declared lengths once (``reduceat``) and
+accumulates over the few segments, so every statistic at a declared length
+is an O(trials) column read and no full-width cumulative matrix is built;
+the shifted sums behind variances are built on first use. Combined with the
+batch radius functions of :mod:`repro.stats.inequalities`, a whole fraction
+grid point is priced by a handful of broadcasted numpy operations.
 
 Live feeds do not arrive as a fixed matrix, so two streaming engines keep
 moments of a single feed:
@@ -23,21 +26,23 @@ moments of a single feed:
   Kish effective sample size, for bounds that should forget the distant
   past smoothly instead of truncating it.
 
-Numerical note: prefix means come from a sequential cumulative sum, while
-``numpy``'s direct ``mean`` uses pairwise summation. Both are correct to
-floating-point accuracy; the profiler's tests pin the batch kernels to the
-scalar estimators within 1e-9, the repo-wide numerical-equivalence policy.
-Variances are computed from cumulants *shifted by each row's first
-element*: the raw ``E[x²] − E[x]²`` form catastrophically cancels once
-values carry a large common offset (a ~1e8 offset leaves float64 with no
-significant bits for a small spread), and shifting by a value from the data
-itself removes the offset without changing the variance.
+Numerical note: segment sums add in a different order than ``numpy``'s
+direct ``mean`` (pairwise summation). Both are correct to floating-point
+accuracy, and exact on integer-valued data (detector counts) below 2**53;
+the profiler's tests pin the batch kernels to the scalar estimators within
+1e-9, the repo-wide numerical-equivalence policy. Variances are computed
+from sums *shifted by each row's first element*: the raw ``E[x²] − E[x]²``
+form catastrophically cancels once values carry a large common offset (a
+~1e8 offset leaves float64 with no significant bits for a small spread),
+and shifting by a value from the data itself removes the offset without
+changing the variance.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,25 +50,26 @@ from repro.errors import ConfigurationError, EstimationError
 
 
 class PrefixMoments:
-    """Cumulative first/second moments and running extrema per trial row.
+    """First/second moments and extrema of trial prefixes at declared lengths.
 
     One instance covers one ``(trials, max_size)`` matrix of prefix-sample
-    values; every query method takes a prefix length ``n`` and returns a
-    ``(trials,)`` array in O(trials). Six aligned ``(trials, max_size)``
-    arrays back the queries — the raw value matrix, the raw cumulative sum,
-    the *shifted* cumulative sum and sum of squares (values centered on
-    each row's first element, held in ``_shift``), and the running extrema
-    — and every query is a slice at column ``n - 1``.
+    values and the prefix lengths declared at construction; every query
+    takes a declared length ``n`` (any other raises
+    :class:`~repro.errors.ConfigurationError`) and returns a ``(trials,)``
+    array in O(trials), or the ``(trials, n)`` envelope matrices.
     """
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        """Precompute the cumulative statistics.
+    def __init__(self, matrix: np.ndarray, sizes: Iterable[int]) -> None:
+        """Reduce the matrix at the declared prefix lengths.
 
         Args:
             matrix: Per-trial prefix values, shape ``(trials, max_size)``;
                 row ``t`` holds trial ``t``'s maximal prefix gather, whose
                 leading ``n`` entries are exactly the trial's sample at
                 prefix length ``n``.
+            sizes: The prefix lengths the caller will query, each in
+                ``[1, max_size]``; order and repeats do not matter. Values
+                up to the longest declared length must be finite.
         """
         array = np.asarray(matrix, dtype=float)
         if array.ndim != 2:
@@ -75,16 +81,25 @@ class PrefixMoments:
             raise ConfigurationError(
                 f"prefix matrix must be non-empty, got shape {array.shape}"
             )
-        if not np.all(np.isfinite(array)):
-            raise EstimationError("prefix matrix contains non-finite values")
+        declared = np.unique(np.fromiter(sizes, dtype=np.int64))
+        if not declared.size or declared[0] < 1 or declared[-1] > array.shape[1]:
+            raise ConfigurationError(
+                f"declared prefix lengths {declared.tolist()} must be a "
+                f"non-empty subset of [1, {array.shape[1]}]"
+            )
         self._matrix = array
-        self._shift = array[:, 0].copy()
-        shifted = array - self._shift[:, None]
-        self._cumsum = np.cumsum(array, axis=1)
-        self._scumsum = np.cumsum(shifted, axis=1)
-        self._scumsq = np.cumsum(shifted * shifted, axis=1)
-        self._cummin = np.minimum.accumulate(array, axis=1)
-        self._cummax = np.maximum.accumulate(array, axis=1)
+        self._column = {int(n): i for i, n in enumerate(declared)}
+        self._starts = np.concatenate(([0], declared[:-1]))
+        self._top = int(declared[-1])
+        head = array[:, : self._top]
+        self._sum = self._at_sizes(np.add, head)
+        self._min = self._at_sizes(np.minimum, head)
+        self._max = self._at_sizes(np.maximum, head)
+        # NaN and ±inf reach the extrema, so their last column checks every
+        # value the instance serves.
+        if not np.isfinite([self._min[:, -1], self._max[:, -1]]).all():
+            raise EstimationError("prefix matrix contains non-finite values")
+        self._shifted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def trials(self) -> int:
@@ -93,7 +108,7 @@ class PrefixMoments:
 
     @property
     def max_size(self) -> int:
-        """Largest prefix length served."""
+        """Width of the value matrix (the longest gathered prefix)."""
         return int(self._matrix.shape[1])
 
     def row(self, trial: int) -> np.ndarray:
@@ -104,49 +119,65 @@ class PrefixMoments:
         """
         return self._matrix[trial]
 
-    def _check_size(self, n: int) -> int:
-        if not 1 <= n <= self.max_size:
+    def _column_of(self, n: int) -> int:
+        column = self._column.get(int(n))
+        if column is None:
             raise ConfigurationError(
-                f"prefix length {n} must lie in [1, {self.max_size}]"
+                f"prefix length {n} was not declared; declared lengths are "
+                f"{list(self._column)}"
             )
-        return int(n)
+        return column
+
+    def _at_sizes(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` over each row's prefixes, one column per declared length."""
+        return ufunc.accumulate(ufunc.reduceat(values, self._starts, axis=1), axis=1)
+
+    def _shifted_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row shifts and the shifted sum / sum of squares, built on first use."""
+        if self._shifted is None:
+            shift = self._matrix[:, 0].copy()
+            centered = self._matrix[:, : self._top] - shift[:, None]
+            self._shifted = (
+                shift,
+                self._at_sizes(np.add, centered),
+                self._at_sizes(np.add, centered * centered),
+            )
+        return self._shifted
 
     def mean(self, n: int) -> np.ndarray:
         """Per-trial means of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._cumsum[:, n - 1] / n
+        return self._sum[:, self._column_of(n)] / n
 
     def second_moment(self, n: int) -> np.ndarray:
         """Per-trial raw second moments ``mean(x^2)`` of the prefixes.
 
-        Reconstructed from the shifted cumulants:
+        Reconstructed from the shifted sums:
         ``E[x²] = E[(x−c)²] + 2c·E[x] − c²`` with ``c`` the row shift.
         """
-        n = self._check_size(n)
-        shifted = self._scumsq[:, n - 1] / n
-        mean = self._cumsum[:, n - 1] / n
-        return shifted + self._shift * (2.0 * mean - self._shift)
+        column = self._column_of(n)
+        shift, _, squares = self._shifted_sums()
+        mean = self._sum[:, column] / n
+        return squares[:, column] / n + shift * (2.0 * mean - shift)
 
     def variance(self, n: int, ddof: int = 0) -> np.ndarray:
         """Per-trial prefix variances, clipped at zero.
 
-        Computed from the shifted cumulants, so the clip only ever absorbs
+        Computed from the shifted sums, so the clip only ever absorbs
         rounding-level negatives — never the catastrophic cancellation the
         raw ``E[x²] − E[x]²`` form suffers on large-offset data.
 
         Args:
-            n: Prefix length.
+            n: Declared prefix length.
             ddof: Delta degrees of freedom (0 = population variance, as
                 ``ndarray.var`` defaults; requires ``n > ddof``).
         """
-        n = self._check_size(n)
+        column = self._column_of(n)
         if ddof < 0 or n <= ddof:
-            raise ConfigurationError(
-                f"ddof {ddof} must satisfy 0 <= ddof < n={n}"
-            )
-        shifted_mean = self._scumsum[:, n - 1] / n
+            raise ConfigurationError(f"ddof {ddof} must satisfy 0 <= ddof < n={n}")
+        _, sums, squares = self._shifted_sums()
+        shifted_mean = sums[:, column] / n
         variance = np.maximum(
-            self._scumsq[:, n - 1] / n - shifted_mean * shifted_mean, 0.0
+            squares[:, column] / n - shifted_mean * shifted_mean, 0.0
         )
         if ddof:
             variance = variance * (n / (n - ddof))
@@ -159,34 +190,36 @@ class PrefixMoments:
     def prefix_mean_matrix(self, n: int) -> np.ndarray:
         """Means of *every* prefix length ``1..n``, shape ``(trials, n)``.
 
-        Serves envelope constructions (EBGS) that need all prefixes
-        simultaneously; column ``t-1`` equals :meth:`mean` at ``t``.
+        Serves envelope constructions (EBGS) that need all prefixes at
+        once; ``n`` must be declared. Computed on demand (a cumulative sum).
         """
-        n = self._check_size(n)
+        self._column_of(n)
         t = np.arange(1, n + 1, dtype=float)
-        return self._cumsum[:, :n] / t
+        return np.cumsum(self._matrix[:, :n], axis=1) / t
 
     def prefix_variance_matrix(self, n: int) -> np.ndarray:
-        """Population variances of every prefix length ``1..n``."""
-        n = self._check_size(n)
+        """Population variances of every prefix length ``1..n`` (shifted
+        running sums, computed on demand; ``n`` must be declared)."""
+        self._column_of(n)
         t = np.arange(1, n + 1, dtype=float)
-        shifted_mean = self._scumsum[:, :n] / t
-        return np.maximum(self._scumsq[:, :n] / t - shifted_mean**2, 0.0)
+        centered = self._matrix[:, :n] - self._matrix[:, :1]
+        shifted_mean = np.cumsum(centered, axis=1) / t
+        return np.maximum(
+            np.cumsum(centered * centered, axis=1) / t - shifted_mean**2, 0.0
+        )
 
     def minimum(self, n: int) -> np.ndarray:
         """Per-trial minima of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._cummin[:, n - 1]
+        return self._min[:, self._column_of(n)]
 
     def maximum(self, n: int) -> np.ndarray:
         """Per-trial maxima of the length-``n`` prefixes."""
-        n = self._check_size(n)
-        return self._cummax[:, n - 1]
+        return self._max[:, self._column_of(n)]
 
     def value_range(self, n: int) -> np.ndarray:
         """Per-trial sample ranges ``max - min`` of the prefixes."""
-        n = self._check_size(n)
-        return self._cummax[:, n - 1] - self._cummin[:, n - 1]
+        column = self._column_of(n)
+        return self._max[:, column] - self._min[:, column]
 
 
 class SlidingWindowMoments:

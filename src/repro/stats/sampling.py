@@ -7,15 +7,17 @@ quantile bound). Two extras matter for profile generation:
 - :class:`SampleDesign` turns a sample *fraction* into a concrete sample
   *size* consistently everywhere (round-half-up, at least one frame when the
   fraction is positive).
-- :class:`ProgressiveSampler` produces *nested* samples: the sample at a low
+- :func:`ordered_draw` produces *nested* samples: the sample at a low
   fraction is a prefix of the sample at any higher fraction. This implements
   the reuse strategy of paper §3.3.2 — model outputs computed for a 1% sweep
   point are reused by the 2% point, and so on — and is what makes profile
-  sweeps affordable.
+  sweeps affordable. :class:`ProgressiveSampler` holds one such ordering,
+  :func:`ordered_draw_matrix` stacks one per trial for batch sweeps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +129,40 @@ def stratified_time_sample(
     )
 
 
+def ordered_draw(
+    population: int, rng: np.random.Generator, max_size: int | None = None
+) -> np.ndarray:
+    """A uniformly random ordering of ``max_size`` distinct indices (int64)
+    from ``range(population)``; None (the default) orders all of them.
+
+    Every prefix is a uniform without-replacement sample. The bounded draw
+    (``rng.choice(..., shuffle=True)``) has prefixes distributed exactly
+    like the full permutation's at O(max_size) cost, but the two modes
+    consume the generator differently: a seeded caller keeps one mode.
+    """
+    if population <= 0:
+        raise ConfigurationError(f"population must be positive, got {population}")
+    if max_size is None:
+        return rng.permutation(population)
+    if not 1 <= max_size <= population:
+        raise ConfigurationError(
+            f"max_size {max_size} must lie in [1, {population}]"
+        )
+    return rng.choice(population, max_size, replace=False, shuffle=True)
+
+
+def ordered_draw_matrix(
+    population: int, rngs: Sequence[np.random.Generator], max_size: int
+) -> np.ndarray:
+    """One bounded :func:`ordered_draw` per generator, written as the rows
+    of a ``(len(rngs), max_size)`` int64 matrix; row ``i`` is the ordering
+    ``ProgressiveSampler(population, rngs[i], max_size)`` holds."""
+    matrix = np.empty((len(rngs), max_size), dtype=np.int64)
+    for row, rng in zip(matrix, rngs):
+        row[:] = ordered_draw(population, rng, max_size)
+    return matrix
+
+
 class ProgressiveSampler:
     """Nested without-replacement sampler enabling model-output reuse.
 
@@ -137,13 +173,8 @@ class ProgressiveSampler:
     what lets profile generation (paper §3.3.2) evaluate sample fractions
     in ascending order and reuse all previously computed model outputs.
 
-    When the caller knows the largest prefix it will ever request (a
-    fraction sweep's top design size), ``max_size`` draws only that many
-    indices — a uniformly *ordered* without-replacement draw, whose
-    prefixes have exactly the same distribution as the full permutation's
-    — for O(max_size) instead of O(population) setup. The two modes
-    consume the generator differently, so a seeded sweep must pick one
-    mode and keep it.
+    When the caller knows the largest prefix it will ever request,
+    ``max_size`` draws only that many indices (see :func:`ordered_draw`).
     """
 
     def __init__(
@@ -160,21 +191,8 @@ class ProgressiveSampler:
             max_size: Largest prefix this sampler must serve; None (the
                 default) keeps the full permutation.
         """
-        if population <= 0:
-            raise ConfigurationError(
-                f"population must be positive, got {population}"
-            )
+        self._permutation = ordered_draw(population, rng, max_size)
         self._population = int(population)
-        if max_size is None:
-            self._permutation = rng.permutation(population)
-        else:
-            if not 1 <= max_size <= population:
-                raise ConfigurationError(
-                    f"max_size {max_size} must lie in [1, {population}]"
-                )
-            self._permutation = rng.choice(
-                population, max_size, replace=False, shuffle=True
-            )
 
     @property
     def population(self) -> int:

@@ -1245,18 +1245,23 @@ class ServeDaemon:
     async def _handle_one(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, str, str]:
-        request_line = await asyncio.wait_for(reader.readline(), timeout=30)
-        parts = request_line.decode("latin-1").split()
+        request_line = await _read_line(reader)
+        parts = (request_line or b"").decode("latin-1").split()
         if len(parts) < 2:
             return 400, "application/json", json.dumps({"error": "bad request"})
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
+        lines = 0
         while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=30)
-            text = line.decode("latin-1").strip()
-            if not text:
+            line = await _read_line(reader)
+            if line is not None and not line.strip():
                 break
-            name, _, value = text.partition(":")
+            lines += 1
+            if line is None or lines > _MAX_HEADERS:
+                return 431, "application/json", json.dumps({"error": (
+                    f"headers exceed {_MAX_HEADERS} lines of {_MAX_HEADER_LINE} bytes"
+                )})
+            name, _, value = line.decode("latin-1").strip().partition(":")
             headers[name.strip().lower()] = value.strip()
         payload: dict = {}
         declared = headers.get("content-length", "").strip() or "0"
@@ -1430,14 +1435,28 @@ class ServeDaemon:
 #: value, far above any JSON rendering of a float.
 _MAX_BODY_BYTES = 64 * ServeSession._MAX_STREAM_VALUES
 
+#: Longest request or header line, and most header lines, per request.
+_MAX_HEADER_LINE, _MAX_HEADERS = 8192, 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """One request or header line, or None when it is over-long (past the
+    stream's buffer limit ``readline`` raises ``ValueError``)."""
+    try:
+        line = await asyncio.wait_for(reader.readline(), timeout=30)
+    except ValueError:
+        return None
+    return line if len(line) <= _MAX_HEADER_LINE else None
 
 
 async def post_json(

@@ -59,6 +59,31 @@ class TestSamplingProfiles:
         with pytest.raises(ConfigurationError):
             profiler.profile_sampling_seeded(avg_query, (0.5, 0.1), ROOT)
 
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial stream was drawn")
+
+        monkeypatch.setattr("repro.core.profiler.child_rng", refuse)
+
+    @pytest.mark.parametrize(
+        "fractions",
+        [(0.5, 0.1), (0.0, 0.1), (-0.2, 0.1), (0.1, 1.5), (0.1, math.nan)],
+        ids=["descending", "zero", "negative", "above-one", "nan"],
+    )
+    def test_malformed_grid_rejected_before_any_draw(
+        self, profiler, avg_query, no_draws, fractions
+    ):
+        with pytest.raises(ConfigurationError):
+            profiler.sweep_fractions_seeded(
+                avg_query, fractions, None, (), None, ROOT, 0, (0, 1)
+            )
+
+    def test_empty_grid_draws_nothing(self, profiler, avg_query, no_draws):
+        assert profiler.sweep_fractions_seeded(
+            avg_query, (), None, (), None, ROOT, 0, (0, 1)
+        ) == []
+
     def test_removal_restricts_universe(self, profiler, avg_query):
         profile = profiler.profile_sampling_seeded(
             avg_query, (0.1,), ROOT, removal=(ObjectClass.PERSON,)

@@ -36,9 +36,13 @@ def matrix() -> np.ndarray:
     return np.random.default_rng(21).gamma(2.0, 1.5, size=(TRIALS, MAX_SIZE))
 
 
+#: Every prefix length the tests below read.
+SIZES = (1, 2, 10, 17, 20, 30, 40, MAX_SIZE)
+
+
 @pytest.fixture(scope="module")
 def moments(matrix) -> PrefixMoments:
-    return PrefixMoments(matrix)
+    return PrefixMoments(matrix, SIZES)
 
 
 def batch_vs_scalar(estimator, moments, matrix, n, value_range=None):
@@ -75,7 +79,7 @@ class TestMeanEstimators:
     def test_constant_trials(self, method):
         constant = np.full((3, 30), 2.5)
         batch_vs_scalar(
-            mean_estimator_registry()[method], PrefixMoments(constant),
+            mean_estimator_registry()[method], PrefixMoments(constant, (30,)),
             constant, 30,
         )
 
@@ -98,7 +102,7 @@ class TestVarianceAndQuantileFallbacks:
                 assert batch.error_bounds[t] == pytest.approx(scalar.error_bound)
 
     def test_quantile_estimators(self, moments, matrix):
-        counts = PrefixMoments(np.floor(matrix))
+        counts = PrefixMoments(np.floor(matrix), (40,))
         for estimator in quantile_estimator_registry().values():
             batch = estimator.estimate_batch(
                 counts, 40, UNIVERSE, 0.99, DELTA, Aggregate.MAX
@@ -153,8 +157,8 @@ class TestDispatch:
         query = self.query(detrac_dataset, yolo_car, Aggregate.AVG)
         plan = InterventionPlan.from_knobs(f=0.05)
         executions = [processor.execute(query, plan, rng) for _ in range(4)]
-        moments = PrefixMoments(np.stack([e.values for e in executions]))
         n = executions[0].values.size
+        moments = PrefixMoments(np.stack([e.values for e in executions]), (n,))
         for method in mean_estimator_registry():
             batch = estimate_batch(
                 query, moments, n, executions[0].universe_size,

@@ -198,7 +198,7 @@ class TestLargeOffsetRegression:
     def test_batch_variance_at_1e8_offset(self):
         rng = np.random.default_rng(13)
         matrix = rng.normal(0.0, 1.0, size=(4, 200)) + 1e8
-        moments = PrefixMoments(matrix)
+        moments = PrefixMoments(matrix, (2, 50, 200))
         for n in (2, 50, 200):
             np.testing.assert_allclose(
                 moments.variance(n),
@@ -219,7 +219,7 @@ class TestLargeOffsetRegression:
     def test_second_moment_reconstruction_at_offset(self):
         rng = np.random.default_rng(19)
         matrix = rng.normal(0.0, 1.0, size=(3, 64)) + 1e8
-        moments = PrefixMoments(matrix)
+        moments = PrefixMoments(matrix, (64,))
         np.testing.assert_allclose(
             moments.second_moment(64),
             (matrix**2).mean(axis=1),

@@ -590,6 +590,32 @@ async def raw_status(port: int, head: bytes, body: bytes = b"") -> int:
         writer.close()
 
 
+def probe_raw(tmp_path: Path, head: bytes, body: bytes) -> tuple[int, list, dict]:
+    """Send raw request bytes to a live daemon inside a ledger run.
+
+    Returns the answer's status, the ledger records written before the run
+    finished (a flight record would land there), and the finished record.
+    The daemon must still answer ``/healthz``.
+    """
+    ledger = tmp_path / "runs.jsonl"
+    run_ledger.begin_run("serve-test", {}, str(ledger))
+
+    async def scenario(daemon, port):
+        status = await raw_status(port, head, body)
+        health, answer = await post_json("127.0.0.1", port, "/healthz")
+        assert health == 200 and answer["status"] == "ok"
+        return status
+
+    try:
+        status = run_with_daemon(scenario)
+        records_before_finish = (
+            run_ledger.read_runs(ledger) if ledger.exists() else []
+        )
+    finally:
+        record = run_ledger.finish_run("ok", 0)
+    return status, records_before_finish, record
+
+
 class TestContentLengthFraming:
     """Regression: a bad ``Content-Length`` is the client's error.
 
@@ -607,23 +633,7 @@ class TestContentLengthFraming:
         )
 
     def _probe(self, tmp_path: Path, length: bytes) -> tuple[int, list, dict]:
-        ledger = tmp_path / "runs.jsonl"
-        run_ledger.begin_run("serve-test", {}, str(ledger))
-
-        async def scenario(daemon, port):
-            status = await raw_status(port, self._head(length), b'{"a": 1}')
-            health, body = await post_json("127.0.0.1", port, "/healthz")
-            assert health == 200 and body["status"] == "ok"
-            return status
-
-        try:
-            status = run_with_daemon(scenario)
-            records_before_finish = (
-                run_ledger.read_runs(ledger) if ledger.exists() else []
-            )
-        finally:
-            record = run_ledger.finish_run("ok", 0)
-        return status, records_before_finish, record
+        return probe_raw(tmp_path, self._head(length), b'{"a": 1}')
 
     @pytest.mark.parametrize(
         "length",
@@ -659,6 +669,69 @@ class TestContentLengthFraming:
         values = [-1.2345678901234567e-300] * ServeSession._MAX_STREAM_VALUES
         body = json.dumps({"id": "x" * 64, "values": values})
         assert len(body.encode()) <= _MAX_BODY_BYTES
+
+
+class TestHeaderFraming:
+    """Regression: over-long or too many header lines are the client's error.
+
+    A line past asyncio's 64 KiB ``readline`` limit used to raise
+    ``ValueError`` into the catch-all, answering 500 and dumping the flight
+    recorder into the run ledger, and the header count was unbounded.
+    """
+
+    BODY = b'{"a": 1}'
+
+    @classmethod
+    def _head(cls, extra: list[bytes], target: bytes = b"/bound") -> bytes:
+        return (
+            b"POST " + target + b" HTTP/1.1\r\nHost: test\r\n"
+            + b"".join(line + b"\r\n" for line in extra)
+            + b"Content-Length: " + str(len(cls.BODY)).encode()
+            + b"\r\nConnection: close\r\n\r\n"
+        )
+
+    @staticmethod
+    def _assert_no_flight_record(records: list, record: dict) -> None:
+        assert records == []
+        assert "flight_record" not in record["facts"]
+        assert not [
+            event for event in record["events"]
+            if event["event"] == "flight.recorder"
+        ]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [b"X-Long: " + b"a" * 9000],
+            [b"X-Huge: " + b"a" * 70_000],
+            [b"X-Many-%d: 1" % i for i in range(101)],
+        ],
+        ids=["9KiB-line", "70KiB-line", "104-headers"],
+    )
+    def test_oversized_headers_are_431(self, tmp_path, extra):
+        status, records, record = probe_raw(
+            tmp_path, self._head(extra), self.BODY
+        )
+        assert status == 431
+        self._assert_no_flight_record(records, record)
+
+    @pytest.mark.parametrize("length", [9000, 70_000], ids=["9KiB", "70KiB"])
+    def test_overlong_request_line_is_400(self, tmp_path, length):
+        head = self._head([], target=b"/" + b"a" * length)
+        status, records, record = probe_raw(tmp_path, head, self.BODY)
+        assert status == 400
+        self._assert_no_flight_record(records, record)
+
+    def test_limits_admit_a_full_header_block(self, tmp_path):
+        # 100 lines in all (Host, Content-Length, Connection and 97 more),
+        # one of them at the 8 KiB line limit including its CRLF.
+        extra = [b"X-Pad: " + b"a" * (8192 - 9)]
+        extra += [b"X-Many-%d: 1" % i for i in range(96)]
+        status, records, record = probe_raw(
+            tmp_path, self._head(extra), self.BODY
+        )
+        assert status == 200
+        self._assert_no_flight_record(records, record)
 
 
 class TestBudgetValidation:
